@@ -13,12 +13,12 @@ Two legs over the same plans:
   link block is rebuilt from its op (the pre-refactor behaviour);
 * **incremental** -- one shared session across the sweep.
 
-The legs must agree *bitwise* (identical link lists, supply lists, and
+The legs must agree *bitwise* (identical link arrays, supply arrays, and
 mesh conductance arrays) -- the session trades no accuracy: a cache hit
 contributes the same bytes a rebuild would.  The speedup is asserted at
->= 1.3x (typically >10x; the margin absorbs CI timing noise) and is
-recorded as the ``bench.incremental_reassembly.speedup`` gauge plus a
-JSON artifact under ``benchmarks/results/``.
+>= 1.3x (about 2.4-2.9x on a 2-vCPU VM; the margin absorbs CI timing
+noise) and is recorded as the ``bench.incremental_reassembly.speedup``
+gauge plus a JSON artifact under ``benchmarks/results/``.
 
 Run directly (``python benchmarks/bench_incremental_reassembly.py``) or
 under pytest; ``REPRO_BENCH_SMOKE=1`` shortens the sweep.
@@ -42,8 +42,8 @@ FULL_COUNTS = (15, 33, 60, 120, 240)
 SMOKE_COUNTS = (15, 60, 240)
 
 #: Minimum accepted incremental-over-cold speedup; the observed value is
-#: an order of magnitude higher, so a failure here means the session
-#: stopped reusing artifacts, not that the machine was slow.
+#: about twice this, so a failure here means the session stopped reusing
+#: artifacts, not that the machine was slow.
 MIN_SPEEDUP = 1.3
 
 
@@ -63,10 +63,12 @@ def _models_bitwise_equal(a, b) -> bool:
             return False
         if not np.array_equal(ea.mesh.gy, eb.mesh.gy):
             return False
-    if a.links_range(0, a.link_count) != b.links_range(0, b.link_count):
-        return False
-    return a.supply_range(0, a.supply_count) == b.supply_range(
-        0, b.supply_count
+    return all(
+        col_a.dtype == col_b.dtype and np.array_equal(col_a, col_b)
+        for col_a, col_b in zip(
+            a.link_arrays() + a.supply_arrays(),
+            b.link_arrays() + b.supply_arrays(),
+        )
     )
 
 

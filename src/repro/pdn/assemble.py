@@ -40,7 +40,7 @@ from repro.perf.timers import timed
 from repro.rmesh.backends import resolve_backend
 from repro.rmesh.mesh import LayerMesh
 from repro.rmesh.solve import StackSolver
-from repro.rmesh.stack import StackModel, SupplyLink, VerticalLink
+from repro.rmesh.stack import LinkBlock, StackModel, SupplyBlock
 
 #: Endpoint placement signature: (node offset, grid, origin).  Link node
 #: ids depend on exactly these -- never on the layer's conductances -- so
@@ -68,8 +68,8 @@ class OpArtifactSpan:
     kind: str  # the op's ``kind`` discriminator
     role: str  # the op's electrical role (metal/tsv/c4/bump/...)
     layer_key: Optional[str]  # AddLayerOp: the registered mesh's key
-    links: Tuple[int, int]  # half-open range into model.vertical_links()
-    supply: Tuple[int, int]  # half-open range into model.supply_links()
+    links: Tuple[int, int]  # half-open range into model.link_arrays()
+    supply: Tuple[int, int]  # half-open range into model.supply_arrays()
 
 
 class AssembledStack:
@@ -127,14 +127,15 @@ class AssemblySession:
     """Per-op artifact cache carried across assemblies of related plans.
 
     Meshes are shared by object (models never mutate a registered mesh);
-    link blocks are tuples of frozen links.  Both are exact: a cache hit
-    contributes the same bytes a rebuild would.
+    link blocks are read-only ``(node_a, node_b, g)`` / ``(node, g)``
+    array blocks.  Both are exact: a cache hit contributes the same bytes
+    a rebuild would.
     """
 
     def __init__(self) -> None:
         self._meshes: Dict[AddLayerOp, LayerMesh] = {}
-        self._links: Dict[Tuple[PlanOp, _LayerSig, _LayerSig], Tuple[VerticalLink, ...]] = {}
-        self._supply: Dict[Tuple[SupplyOp, _LayerSig], Tuple[SupplyLink, ...]] = {}
+        self._links: Dict[Tuple[PlanOp, _LayerSig, _LayerSig], LinkBlock] = {}
+        self._supply: Dict[Tuple[SupplyOp, _LayerSig], SupplyBlock] = {}
 
     def clear(self) -> None:
         self._meshes.clear()
@@ -162,7 +163,7 @@ class AssemblySession:
 
     def links_for(
         self, op: PlanOp, sig_a: _LayerSig, sig_b: _LayerSig
-    ) -> Optional[Tuple[VerticalLink, ...]]:
+    ) -> Optional[LinkBlock]:
         return self._links.get((op, sig_a, sig_b))
 
     def store_links(
@@ -170,17 +171,17 @@ class AssemblySession:
         op: PlanOp,
         sig_a: _LayerSig,
         sig_b: _LayerSig,
-        links: Tuple[VerticalLink, ...],
+        links: LinkBlock,
     ) -> None:
         self._links[(op, sig_a, sig_b)] = links
 
     def supply_for(
         self, op: SupplyOp, sig: _LayerSig
-    ) -> Optional[Tuple[SupplyLink, ...]]:
+    ) -> Optional[SupplyBlock]:
         return self._supply.get((op, sig))
 
     def store_supply(
-        self, op: SupplyOp, sig: _LayerSig, links: Tuple[SupplyLink, ...]
+        self, op: SupplyOp, sig: _LayerSig, links: SupplyBlock
     ) -> None:
         self._supply[(op, sig)] = links
 

@@ -31,9 +31,11 @@ conductance-matrix assembly depends on for bitwise reproducibility.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from array import array
+from dataclasses import dataclass, fields
 from typing import (
     Any,
     ClassVar,
@@ -72,6 +74,16 @@ class GridSpec:
     def to_grid(self) -> Grid2D:
         return Grid2D(Rect(self.x0, self.y0, self.x1, self.y1), self.nx, self.ny)
 
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "x0": self.x0,
+            "y0": self.y0,
+            "x1": self.x1,
+            "y1": self.y1,
+            "nx": self.nx,
+            "ny": self.ny,
+        }
+
 
 @dataclass(frozen=True)
 class PlanOp:
@@ -80,9 +92,30 @@ class PlanOp:
     kind: ClassVar[str] = "op"
 
     def to_dict(self) -> Dict[str, Any]:
+        """The op as a JSON-ready mapping, built shallowly.
+
+        Field values are immutable scalars and tuples of floats, so they
+        are passed through as-is (no per-float copy); only the nested
+        :class:`GridSpec` is expanded.  The result serializes to exactly
+        the bytes ``dataclasses.asdict`` would give, so plan hashes are
+        unchanged.
+        """
         data: Dict[str, Any] = {"kind": type(self).kind}
-        data.update(asdict(self))
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
+            data[name] = value.to_dict() if isinstance(value, GridSpec) else value
         return data
+
+
+_FIELD_NAMES: Dict[Type[PlanOp], Tuple[str, ...]] = {}
+
+
+def _field_names(cls: Type[PlanOp]) -> Tuple[str, ...]:
+    """Dataclass field names of an op class, in declaration order."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
 
 
 @dataclass(frozen=True)
@@ -211,6 +244,56 @@ OP_TYPES: Dict[str, Type[PlanOp]] = {
 }
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Float tuples at least this long have their canonical JSON memoized.
+_MEMO_MIN_FLOATS = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _float_array_json(raw: bytes) -> str:
+    """Canonical JSON of a float array given as its exact IEEE-754 bytes."""
+    values = array("d")
+    values.frombytes(raw)
+    return _encode(values.tolist())
+
+
+def clear_hash_memo() -> None:
+    """Drop the memoized coordinate-tuple JSON (see :func:`_canonical_op`)."""
+    _float_array_json.cache_clear()
+
+
+def _canonical_op(data: Dict[str, Any]) -> str:
+    """``json.dumps(data, sort_keys=True, separators=(",", ":"))`` of one
+    op mapping.
+
+    Float repr dominates plan hashing, and the TSV/supply coordinate
+    tuples of a sweep's plans recur from point to point (a metal-usage
+    change moves no TSV).  Long tuples of exact floats are therefore
+    encoded once per distinct value, keyed by their IEEE-754 bytes --
+    an exact key: ``0.0``/``-0.0`` differ in it, and a tuple holding any
+    non-float (say the int ``1``, which JSON writes unlike ``1.0``)
+    bypasses the memo.
+    """
+    if not any(
+        type(v) is tuple and len(v) >= _MEMO_MIN_FLOATS for v in data.values()
+    ):
+        return _encode(data)
+    return "{" + ",".join(
+        _encode(k) + ":" + _value_json(v) for k, v in sorted(data.items())
+    ) + "}"
+
+
+def _value_json(value: Any) -> str:
+    if (
+        type(value) is tuple
+        and len(value) >= _MEMO_MIN_FLOATS
+        and {*map(type, value)} == {float}
+    ):
+        return _float_array_json(array("d", value).tobytes())
+    return _encode(value)
+
+
 def _tuple_of_floats(value: Any, where: str) -> Tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigurationError(f"{where}: expected a list, got {type(value).__name__}")
@@ -271,9 +354,9 @@ class StackPlan:
             "benchmark": self.benchmark,
             "pitch": self.pitch,
             "num_dram_dies": self.num_dram_dies,
-            "dram_grid": asdict(self.dram_grid),
+            "dram_grid": self.dram_grid.to_dict(),
             "dram_origin": list(self.dram_origin),
-            "logic_grid": asdict(self.logic_grid) if self.logic_grid else None,
+            "logic_grid": self.logic_grid.to_dict() if self.logic_grid else None,
             "ops": [op.to_dict() for op in self.ops],
         }
 
@@ -281,10 +364,20 @@ class StackPlan:
         return json.dumps(self.to_dict(), indent=indent) + "\n"
 
     def canonical_json(self) -> str:
-        """Deterministic single-line JSON: the hashing pre-image."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        """Deterministic single-line JSON: the hashing pre-image.
+
+        Byte-identical to ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``; ops are encoded by :func:`_canonical_op`.
+        """
+        data = self.to_dict()
+        return "{" + ",".join(
+            _encode(key) + ":" + (
+                "[" + ",".join(map(_canonical_op, data[key])) + "]"
+                if key == "ops"
+                else _encode(data[key])
+            )
+            for key in sorted(data)
+        ) + "}"
 
     @property
     def plan_hash(self) -> str:

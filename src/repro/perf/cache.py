@@ -272,7 +272,14 @@ def power_map_cache_enabled(enabled: bool) -> None:
 
 
 def clear_caches() -> None:
-    """Drop all cached plans, stacks, and power maps (frees factorizations)."""
+    """Drop all cached plans, stacks, power maps, solver column orderings
+    and plan-hash memos (frees factorizations)."""
+    # Local imports: rmesh and pdn import this module.
+    from repro.pdn.plan import clear_hash_memo
+    from repro.rmesh.backends import clear_orderings
+
+    clear_orderings()
+    clear_hash_memo()
     stack_cache.clear()
     plan_cache.clear()
     assembled_cache.clear()

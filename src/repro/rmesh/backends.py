@@ -53,8 +53,10 @@ setup times are threaded into the obs metrics registry under
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -369,34 +371,112 @@ class SolverOperator:
         return out
 
 
+#: Bound on the column-ordering cache: distinct sparsity patterns kept.
+ORDERING_CACHE_SIZE = 64
+
+_orderings_lock = threading.Lock()
+_orderings: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+
+
+def _pattern_key(matrix: sp.spmatrix) -> bytes:
+    """Digest of a canonical CSC matrix's sparsity pattern (shape,
+    ``indptr``, ``indices``); values do not enter it."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.asarray(matrix.shape, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(matrix.indptr).tobytes())
+    h.update(np.ascontiguousarray(matrix.indices).tobytes())
+    return h.digest()
+
+
+def _cached_ordering(key: bytes) -> Optional[np.ndarray]:
+    with _orderings_lock:
+        perm_c = _orderings.get(key)
+        if perm_c is not None:
+            _orderings.move_to_end(key)
+        return perm_c
+
+
+def _store_ordering(key: bytes, perm_c: np.ndarray) -> None:
+    with _orderings_lock:
+        _orderings[key] = perm_c
+        _orderings.move_to_end(key)
+        while len(_orderings) > ORDERING_CACHE_SIZE:
+            _orderings.popitem(last=False)
+
+
+def clear_orderings() -> None:
+    """Drop every cached column ordering."""
+    with _orderings_lock:
+        _orderings.clear()
+
+
+def ordering_cache_size() -> int:
+    """Number of sparsity patterns whose ordering is cached."""
+    with _orderings_lock:
+        return len(_orderings)
+
+
 class DirectOperator(SolverOperator):
-    """The historical SuperLU path; bitwise identical to the old solver."""
+    """The historical SuperLU path; bitwise identical to the old solver.
+
+    SuperLU's COLAMD column ordering depends only on the sparsity
+    pattern, and design-space sweeps factorize many matrices that share
+    one pattern (a metal-usage change moves conductances, not links).
+    The first factorization of a pattern runs as always and caches its
+    final column permutation ``perm_c``; later ones factorize the
+    column-permuted matrix ``A[:, inv(perm_c)]`` in natural order, which
+    is the same elimination with the same pivots, and un-permute each
+    solution (``x = y[perm_c]``: a gather, no arithmetic).
+    """
 
     name = "direct"
 
     def __init__(self, matrix: sp.spmatrix) -> None:
         super().__init__()
+        #: Cached ordering this factorization was built with; None when
+        #: SuperLU ordered the matrix itself.
+        self._perm_c: Optional[np.ndarray] = None
+        key = None
+        if matrix.format == "csc":
+            matrix.sum_duplicates()  # splu canonicalizes in place anyway
+            key = _pattern_key(matrix)
+        perm_c = _cached_ordering(key) if key is not None else None
         try:
-            self._lu = spla.splu(matrix)
+            if perm_c is None:
+                self._lu = spla.splu(matrix)
+            else:
+                inv = np.empty_like(perm_c)
+                inv[perm_c] = np.arange(perm_c.size, dtype=perm_c.dtype)
+                self._lu = spla.splu(matrix[:, inv], permc_spec="NATURAL")
         except RuntimeError as exc:  # singular matrix
             raise SolverError(
                 f"factorization failed: {exc}",
                 num_nodes=matrix.shape[0],
             ) from exc
+        if perm_c is not None:
+            self._perm_c = perm_c
+            _metrics.inc("solver.orderings_reused")
+        elif key is not None:
+            _store_ordering(key, self._lu.perm_c.copy())
+            _metrics.inc("solver.orderings_computed")
 
     def solve(
         self, rhs: np.ndarray, x0: Optional[np.ndarray] = None
     ) -> np.ndarray:
         # x0 is deliberately ignored: a direct solve has no warm start,
         # and accepting it keeps the call sites backend-agnostic.
-        return self._lu.solve(rhs)
+        x = self._lu.solve(rhs)
+        return x if self._perm_c is None else x[self._perm_c]
 
     def solve_block(
         self, block: np.ndarray, x0: Optional[np.ndarray] = None
     ) -> np.ndarray:
         # The whole block goes through SuperLU's triangular solves in a
         # single call, amortizing the sparse traversal over all RHS.
-        return np.asfortranarray(self._lu.solve(np.asfortranarray(block)))
+        out = self._lu.solve(np.asfortranarray(block))
+        if self._perm_c is not None:
+            out = out[self._perm_c]
+        return np.asfortranarray(out)
 
 
 class CGOperator(SolverOperator):

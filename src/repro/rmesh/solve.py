@@ -30,12 +30,12 @@ unaffected by the sampling rate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro import envcfg
 from repro.errors import SolverError
 from repro.geometry import Point
 from repro.obs import metrics as _metrics
@@ -58,8 +58,9 @@ RESIDUAL_ENV = "REPRO_RESIDUAL_EVERY"
 
 
 def _residual_every() -> int:
-    value = int(os.environ.get(RESIDUAL_ENV) or RESIDUAL_SAMPLE_EVERY)
-    return max(value, 1)
+    # Warn-and-default on a malformed value (repro.envcfg); values below
+    # 1 still clamp to 1 (always sample), as they always have.
+    return max(envcfg.env_int(RESIDUAL_ENV, RESIDUAL_SAMPLE_EVERY), 1)
 
 
 @dataclass

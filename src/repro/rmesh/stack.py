@@ -14,9 +14,10 @@ loads inject their current at their node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 import scipy.sparse as sp
 
 from repro.errors import MeshError
@@ -41,6 +42,44 @@ class SupplyLink:
     conductance: float
 
 
+#: A block of vertical links as parallel arrays ``(node_a, node_b, g)``.
+LinkBlock = Tuple[
+    npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.float64]
+]
+
+#: A block of supply links as parallel arrays ``(node, g)``.
+SupplyBlock = Tuple[npt.NDArray[np.int64], npt.NDArray[np.float64]]
+
+
+def _concat(blocks: Sequence[tuple], dtypes: Sequence[type]) -> tuple:
+    """Column-wise concatenation of array blocks (empty columns if none)."""
+    if not blocks:
+        return tuple(np.empty(0, dtype=dt) for dt in dtypes)
+    return tuple(np.concatenate(cols) for cols in zip(*blocks))
+
+
+def _frozen(*cols: np.ndarray) -> None:
+    for col in cols:
+        col.flags.writeable = False
+
+
+def _check_conductances(
+    g: npt.NDArray[np.float64], what: str, key_a: str, key_b: str
+) -> None:
+    """Reject non-finite or non-positive conductances in one vectorized
+    pass, naming the link's endpoints and the first offending index."""
+    bad = ~(np.isfinite(g) & (g > 0.0))
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise MeshError(
+            f"{what} conductance must be finite and positive, got "
+            f"{float(g[index])} at index {index} ({key_a} -> {key_b})",
+            key_a=key_a,
+            key_b=key_b,
+            index=index,
+        )
+
+
 @dataclass
 class _LayerEntry:
     key: str
@@ -56,13 +95,17 @@ class StackModel:
     def __init__(self) -> None:
         self._layers: List[_LayerEntry] = []
         self._by_key: Dict[str, _LayerEntry] = {}
-        self._links: List[VerticalLink] = []
-        self._supply: List[SupplyLink] = []
+        # Links are stored as append-only, read-only array blocks, one
+        # per connect call (or cached replay), never as per-link objects.
+        self._link_blocks: List[LinkBlock] = []
+        self._supply_blocks: List[SupplyBlock] = []
+        self._link_count = 0
+        self._supply_count = 0
         self._num_nodes = 0
-        # Vectorized views of the (append-only) link lists, keyed by the
-        # list length they were built at; see link_arrays().
-        self._link_arrays_cache: "tuple[int, tuple] | None" = None
-        self._supply_arrays_cache: "tuple[int, tuple] | None" = None
+        # Concatenations of the blocks, keyed by the link count they were
+        # built at; see link_arrays().
+        self._link_arrays_cache: "tuple[int, LinkBlock] | None" = None
+        self._supply_arrays_cache: "tuple[int, SupplyBlock] | None" = None
         # Layer key -> globally-offset (a, b, g) mesh edge arrays.  A
         # layer's mesh and offset are fixed at add_layer time, so these
         # never invalidate.  Read-only for callers.
@@ -164,17 +207,13 @@ class StackModel:
             )
         if not len(xs):
             return
-        for g in conductances:
-            if g <= 0.0:
-                raise MeshError(f"link conductance must be positive, got {g}")
+        g = np.array(conductances, dtype=np.float64)
+        _check_conductances(g, "link", key_a, key_b)
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         nodes_a = self._nodes_at_xy(key_a, xs, ys)
         nodes_b = self._nodes_at_xy(key_b, xs, ys)
-        self._links.extend(
-            VerticalLink(int(a), int(b), g)
-            for a, b, g in zip(nodes_a, nodes_b, conductances)
-        )
+        self.extend_links((nodes_a, nodes_b, g))
 
     def connect_layers_uniform(
         self, key_a: str, key_b: str, conductance_per_mm2: float
@@ -187,23 +226,24 @@ class StackModel:
         independent.  The link is placed at each node of the layer with
         fewer nodes, attaching to the nearest node of the other layer.
         """
-        if conductance_per_mm2 <= 0.0:
-            raise MeshError("area conductance must be positive")
+        _check_conductances(
+            np.array([conductance_per_mm2], dtype=np.float64),
+            "area", key_a, key_b,
+        )
         a, b = self._entry(key_a), self._entry(key_b)
         src, dst = (a, b) if a.mesh.num_nodes <= b.mesh.num_nodes else (b, a)
         grid = src.mesh.grid
         cell_area = grid.dx * grid.dy
         g = conductance_per_mm2 * cell_area
         # Vectorized over all source nodes, in flat-id (j-major) order so
-        # the link list matches what the scalar loop produced.
+        # the link block matches what the scalar loop produced.
         jj, ii = np.divmod(np.arange(grid.num_nodes), grid.nx)
         xs = grid.outline.x0 + (ii + 0.5) * grid.dx + src.origin.x
         ys = grid.outline.y0 + (jj + 0.5) * grid.dy + src.origin.y
-        src_nodes = src.offset + np.arange(grid.num_nodes)
+        src_nodes = src.offset + np.arange(grid.num_nodes, dtype=np.int64)
         dst_nodes = self._nodes_at_xy(dst.key, xs, ys)
-        self._links.extend(
-            VerticalLink(int(sa), int(sb), g)
-            for sa, sb in zip(src_nodes, dst_nodes)
+        self.extend_links(
+            (src_nodes, dst_nodes, np.full(grid.num_nodes, g, dtype=np.float64))
         )
 
     def connect_supply_at_points(
@@ -233,15 +273,11 @@ class StackModel:
             )
         if not len(xs):
             return
-        for g in conductances:
-            if g <= 0.0:
-                raise MeshError(f"supply conductance must be positive, got {g}")
+        g = np.array(conductances, dtype=np.float64)
+        _check_conductances(g, "supply", key, "supply")
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        nodes = self._nodes_at_xy(key, xs, ys)
-        self._supply.extend(
-            SupplyLink(int(n), g) for n, g in zip(nodes, conductances)
-        )
+        self.extend_supply((self._nodes_at_xy(key, xs, ys), g))
 
     # -- inspection -------------------------------------------------------------
 
@@ -255,8 +291,8 @@ class StackModel:
         paper's Figure 4 credits the R-Mesh speedup to reducing this."""
         return (
             sum(e.mesh.num_resistors for e in self._layers)
-            + len(self._links)
-            + len(self._supply)
+            + self._link_count
+            + self._supply_count
         )
 
     @property
@@ -296,68 +332,85 @@ class StackModel:
         return np.concatenate(parts)
 
     def has_supply(self) -> bool:
-        return bool(self._supply)
+        return self._supply_count > 0
 
     # -- link blocks (incremental-reassembly support) ---------------------------
 
     @property
     def link_count(self) -> int:
         """Number of vertical links added so far."""
-        return len(self._links)
+        return self._link_count
 
     @property
     def supply_count(self) -> int:
         """Number of supply links added so far."""
-        return len(self._supply)
+        return self._supply_count
 
-    def links_range(self, start: int, stop: int) -> "tuple[VerticalLink, ...]":
-        """The vertical links added between two :attr:`link_count` marks."""
-        return tuple(self._links[start:stop])
+    def links_range(self, start: int, stop: int) -> LinkBlock:
+        """The vertical links added between two :attr:`link_count` marks,
+        as one read-only ``(node_a, node_b, g)`` block."""
+        a, b, g = self.link_arrays()
+        block = (a[start:stop].copy(), b[start:stop].copy(), g[start:stop].copy())
+        _frozen(*block)
+        return block
 
-    def supply_range(self, start: int, stop: int) -> "tuple[SupplyLink, ...]":
-        """The supply links added between two :attr:`supply_count` marks."""
-        return tuple(self._supply[start:stop])
+    def supply_range(self, start: int, stop: int) -> SupplyBlock:
+        """The supply links added between two :attr:`supply_count` marks,
+        as one read-only ``(node, g)`` block."""
+        node, g = self.supply_arrays()
+        block = (node[start:stop].copy(), g[start:stop].copy())
+        _frozen(*block)
+        return block
 
-    def extend_links(self, links: Sequence[VerticalLink]) -> None:
-        """Append pre-computed vertical links (cached replay blocks).
+    def extend_links(self, block: LinkBlock) -> None:
+        """Append a block of vertical links ``(node_a, node_b, g)``.
 
-        Callers guarantee the links were computed against layers with the
-        same offsets/grids/origins this model has -- the assembler keys
-        its cache on exactly that.
+        Used by the connect methods and for cached replay blocks: callers
+        guarantee the links were computed against layers with the same
+        offsets/grids/origins this model has -- the assembler keys its
+        cache on exactly that.  The block's arrays are marked read-only
+        (a cached block is shared by every model that replays it).
         """
-        self._links.extend(links)
+        if len(block[0]):
+            _frozen(*block)
+            self._link_blocks.append(block)
+            self._link_count += len(block[0])
 
-    def extend_supply(self, links: Sequence[SupplyLink]) -> None:
-        """Append pre-computed supply links (cached replay blocks)."""
-        self._supply.extend(links)
+    def extend_supply(self, block: SupplyBlock) -> None:
+        """Append a block of supply links ``(node, g)``; see
+        :meth:`extend_links`."""
+        if len(block[0]):
+            _frozen(*block)
+            self._supply_blocks.append(block)
+            self._supply_count += len(block[0])
 
-    def vertical_links(self) -> List[VerticalLink]:
-        """All vertical links (TSVs, F2F vias, bond wires, via stitching)."""
-        return list(self._links)
+    def vertical_links(self) -> Tuple[VerticalLink, ...]:
+        """All vertical links (TSVs, F2F vias, bond wires, via stitching),
+        materialized as link objects (read-only; prefer
+        :meth:`link_arrays` on hot paths)."""
+        a, b, g = self.link_arrays()
+        return tuple(
+            VerticalLink(na, nb, gg)
+            for na, nb, gg in zip(a.tolist(), b.tolist(), g.tolist())
+        )
 
-    def supply_links(self) -> List[SupplyLink]:
-        """All links to the ideal package supply."""
-        return list(self._supply)
+    def supply_links(self) -> Tuple[SupplyLink, ...]:
+        """All links to the ideal package supply, materialized like
+        :meth:`vertical_links`."""
+        node, g = self.supply_arrays()
+        return tuple(SupplyLink(n, gg) for n, gg in zip(node.tolist(), g.tolist()))
 
-    def link_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    def link_arrays(self) -> LinkBlock:
         """Vectorized ``(node_a, node_b, conductance)`` over all vertical
-        links.  The link lists are append-only, so the arrays are cached
-        against the list length and rebuilt only after new links land.
-        Callers must treat the returned arrays as read-only."""
-        n = len(self._links)
+        links, in insertion order.  The blocks are append-only, so the
+        concatenation is cached against the link count and rebuilt only
+        after new links land.  Callers must treat the returned arrays as
+        read-only."""
+        n = self._link_count
         cached = self._link_arrays_cache
         if cached is None or cached[0] != n:
-            a = np.fromiter(
-                (lk.node_a for lk in self._links), dtype=np.int64, count=n
-            )
-            b = np.fromiter(
-                (lk.node_b for lk in self._links), dtype=np.int64, count=n
-            )
-            g = np.fromiter(
-                (lk.conductance for lk in self._links), dtype=float, count=n
-            )
-            cached = (n, (a, b, g))
-            self._link_arrays_cache = cached
+            blocks = _concat(self._link_blocks, (np.int64, np.int64, np.float64))
+            cached = self._link_arrays_cache = (n, blocks)
         return cached[1]
 
     def mesh_edge_arrays(self, key: str) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -375,20 +428,14 @@ class StackModel:
             self._mesh_edges_cache[key] = cached
         return cached
 
-    def supply_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
+    def supply_arrays(self) -> SupplyBlock:
         """Vectorized ``(node, conductance)`` over all supply links,
         cached like :meth:`link_arrays`.  Read-only."""
-        n = len(self._supply)
+        n = self._supply_count
         cached = self._supply_arrays_cache
         if cached is None or cached[0] != n:
-            node = np.fromiter(
-                (lk.node for lk in self._supply), dtype=np.int64, count=n
-            )
-            g = np.fromiter(
-                (lk.conductance for lk in self._supply), dtype=float, count=n
-            )
-            cached = (n, (node, g))
-            self._supply_arrays_cache = cached
+            blocks = _concat(self._supply_blocks, (np.int64, np.float64))
+            cached = self._supply_arrays_cache = (n, blocks)
         return cached[1]
 
     def layer_entry(self, key: str):
@@ -401,7 +448,7 @@ class StackModel:
         """Assemble the reduced (supply-eliminated) conductance matrix."""
         if self._num_nodes == 0:
             raise MeshError("empty stack: no layers added")
-        if not self._supply:
+        if not self._supply_count:
             raise MeshError(
                 "no supply connection: the network is floating and the "
                 "solve would be singular"
@@ -418,7 +465,7 @@ class StackModel:
         for entry in self._layers:
             a, b, g = self.mesh_edge_arrays(entry.key)
             stamp(a, b, g)
-        if self._links:
+        if self._link_count:
             a, b, g = self.link_arrays()
             stamp(a, b, g)
         # Supply links only add to the diagonal (the supply node, at drop 0,

@@ -313,11 +313,7 @@ def _model_fingerprint(model):
         layers.append(
             (key, entry.offset, entry.origin, entry.mesh.gx, entry.mesh.gy)
         )
-    return (
-        layers,
-        model.links_range(0, model.link_count),
-        model.supply_range(0, model.supply_count),
-    )
+    return layers, model.link_arrays(), model.supply_arrays()
 
 
 def _assert_models_equal(a, b):
@@ -327,8 +323,9 @@ def _assert_models_equal(a, b):
         assert (ka, oa, pa) == (kb, ob, pb)
         assert np.array_equal(gxa, gxb)
         assert np.array_equal(gya, gyb)
-    assert fa[1] == fb[1]
-    assert fa[2] == fb[2]
+    for col_a, col_b in zip(fa[1] + fa[2], fb[1] + fb[2]):
+        assert col_a.dtype == col_b.dtype
+        assert np.array_equal(col_a, col_b)
 
 
 class TestIncrementalReassembly:

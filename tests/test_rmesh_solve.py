@@ -112,6 +112,39 @@ class TestStackModel:
         with pytest.raises(MeshError):
             model.connect_layers_at_points(a, b, [Point(0.5, 0.5)], 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_link_rejected_with_context(self, bad):
+        model = StackModel()
+        a = model.add_layer("d", line_mesh(3, 1.0, "a"))
+        b = model.add_layer("d", line_mesh(3, 1.0, "b"), key="d/b")
+        points = [Point(0.5, 0.5), Point(1.5, 0.5), Point(2.5, 0.5)]
+        with pytest.raises(MeshError) as info:
+            model.connect_layers_at_points(a, b, points, [1.0, 2.0, bad])
+        assert info.value.context == {"key_a": a, "key_b": b, "index": 2}
+        assert a in str(info.value) and b in str(info.value)
+        assert model.link_count == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_supply_rejected_with_context(self, bad):
+        model = StackModel()
+        a = model.add_layer("d", line_mesh(2, 1.0, "a"))
+        with pytest.raises(MeshError) as info:
+            model.connect_supply_at_points(
+                a, [Point(0.5, 0.5), Point(1.5, 0.5)], [bad, 1.0]
+            )
+        assert info.value.context["key_a"] == a
+        assert info.value.context["index"] == 0
+        assert not model.has_supply()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_area_conductance_rejected(self, bad):
+        model = StackModel()
+        a = model.add_layer("d", line_mesh(2, 1.0, "a"))
+        b = model.add_layer("d", line_mesh(2, 1.0, "b"), key="d/b")
+        with pytest.raises(MeshError) as info:
+            model.connect_layers_uniform(a, b, bad)
+        assert (info.value.context["key_a"], info.value.context["key_b"]) == (a, b)
+
     def test_mismatched_conductance_list(self):
         model = StackModel()
         a = model.add_layer("d", line_mesh(2, 1.0, "a"))

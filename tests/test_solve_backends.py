@@ -316,6 +316,29 @@ def test_residual_every_one_restores_always_on(monkeypatch):
     assert _residual_count() - before == 3
 
 
+def test_residual_every_malformed_warns_and_defaults(monkeypatch):
+    from repro import envcfg
+    from repro.rmesh.solve import RESIDUAL_SAMPLE_EVERY, _residual_every
+
+    envcfg.reset_warnings()
+    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "abc")
+    before = obs_metrics.snapshot()
+    assert _residual_every() == RESIDUAL_SAMPLE_EVERY
+    solver = StackSolver(WORKLOAD.model)
+    solver.solve_currents(WORKLOAD.currents)  # used to raise ValueError
+    delta = obs_metrics.diff(before, obs_metrics.snapshot())
+    assert delta["counters"].get("env.invalid_values") == 1
+
+
+def test_residual_every_below_one_clamps_to_always_on(monkeypatch):
+    from repro.rmesh.solve import _residual_every
+
+    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "0")
+    assert _residual_every() == 1
+    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "-3")
+    assert _residual_every() == 1
+
+
 def test_cheap_counters_recorded_even_when_unsampled(monkeypatch):
     monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "1000")
     solver = StackSolver(WORKLOAD.model)
