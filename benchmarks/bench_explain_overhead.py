@@ -15,11 +15,14 @@ promises the diagnostics layer makes:
   diagnostics ran -- drops recorded before a diagnosis, re-solved after
   it, and solved in a diagnostics-free leg must all be equal arrays.
 
-Each repeat builds a *fresh* stack so the solve leg includes the cold
-factorization the CLI performs, and the diagnose leg times ``INNER_RUNS``
-individual diagnoses of the solved result (model-level array caches are
-warm by then, matching the CLI path where matrix assembly already
-populated them).  Reported walls are min-of-k per leg, the standard way
+Each repeat clears the process caches (``clear_caches()``: stacks,
+power maps, solver column orderings) and builds a *fresh* stack, so the
+solve leg pays the cold rasterization, ordering and factorization one
+CLI run performs -- without the clear, repeats 2..k would reuse work no
+single ``repro3d explain`` invocation has, and min-of-k would time a
+warm solve.  The diagnose leg times ``INNER_RUNS`` individual diagnoses
+of the solved result (model-level array caches are warm by then,
+matching the CLI path where matrix assembly already populated them).  Reported walls are min-of-k per leg, the standard way
 to strip scheduler noise on a shared CI box.
 
 Results land in ``benchmarks/results/explain_overhead.json``.  Run
@@ -56,6 +59,7 @@ def run_benchmark() -> dict:
     from repro.designs import benchmark
     from repro.pdn import build_stack
     from repro.pdn.diagnose import diagnose_result
+    from repro.perf.cache import clear_caches
 
     bench = benchmark("ddr3_off")
     state = bench.reference_state()
@@ -68,8 +72,10 @@ def run_benchmark() -> dict:
     closure_rel = 0.0
 
     for _ in range(_repeats()):
-        # Fresh stack: the solve leg pays the cold factorization, exactly
-        # like one `repro3d explain` invocation does.
+        # Cold caches and a fresh stack: the solve leg pays the cold
+        # rasterization, ordering and factorization, exactly like one
+        # `repro3d explain` invocation does.
+        clear_caches()
         stack = build_stack(bench.stack, bench.baseline)
         t0 = time.perf_counter()
         # stack.solver factorizes on first access -- inside the window on

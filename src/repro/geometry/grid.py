@@ -118,15 +118,44 @@ class Grid2D:
         primitive used to spread a block's power over mesh nodes
         proportionally to geometric overlap, which keeps power totals exact
         regardless of grid resolution.
+
+        Each entry equals ``cell_rect(i, j).overlap_area(rect) / (dx * dy)``
+        bit for bit: the per-axis overlap widths below are the same IEEE
+        operations on the same operands, and their product commutes.
         """
         frac = np.zeros((self.ny, self.nx))
         # Only visit cells that can overlap, for speed on fine grids.
-        i_lo = max(0, int((rect.x0 - self.outline.x0) / self.dx) - 1)
-        i_hi = min(self.nx, int((rect.x1 - self.outline.x0) / self.dx) + 2)
-        j_lo = max(0, int((rect.y0 - self.outline.y0) / self.dy) - 1)
-        j_hi = min(self.ny, int((rect.y1 - self.outline.y0) / self.dy) + 2)
-        cell_area = self.dx * self.dy
-        for j in range(j_lo, j_hi):
-            for i in range(i_lo, i_hi):
-                frac[j, i] = self.cell_rect(i, j).overlap_area(rect) / cell_area
+        dx, dy = self.dx, self.dy
+        i_lo = max(0, int((rect.x0 - self.outline.x0) / dx) - 1)
+        i_hi = min(self.nx, int((rect.x1 - self.outline.x0) / dx) + 2)
+        j_lo = max(0, int((rect.y0 - self.outline.y0) / dy) - 1)
+        j_hi = min(self.ny, int((rect.y1 - self.outline.y0) / dy) + 2)
+        if i_lo >= i_hi or j_lo >= j_hi:
+            return frac
+        wx, x_apart = _axis_overlap(self.outline.x0, dx, i_lo, i_hi, rect.x0, rect.x1)
+        wy, y_apart = _axis_overlap(self.outline.y0, dy, j_lo, j_hi, rect.y0, rect.y1)
+        window = np.outer(wy, wx) / (dx * dy)
+        # Disjoint cells are 0.0 outright, as overlap_area returns: a zero
+        # product would inherit the sign of a -0.0 width on the other axis.
+        window[y_apart] = 0.0
+        window[:, x_apart] = 0.0
+        frac[j_lo:j_hi, i_lo:i_hi] = window
         return frac
+
+
+def _axis_overlap(
+    origin: float, pitch: float, lo: int, hi: int, r0: float, r1: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Overlap of ``[r0, r1]`` with cells ``lo .. hi-1`` along one axis.
+
+    Returns the widths ``min(c1, r1) - max(c0, r0)`` with Python's
+    ``min``/``max`` semantics (first argument on ties, so signed zeros
+    match :meth:`Rect.intersection`), and the cells that fail the axis's
+    half of :meth:`Rect.intersects`, whose widths are meaningless.
+    """
+    # Edge k + 1 is ``origin + (k + 1) * pitch``: cell k's upper edge as
+    # ``cell_rect`` computes it, and cell k + 1's lower edge.
+    edges = origin + np.arange(lo, hi + 1) * pitch
+    c0, c1 = edges[:-1], edges[1:]
+    width = np.where(r1 < c1, r1, c1) - np.where(r0 > c0, r0, c0)
+    return width, (r0 > c1) | (r1 < c0)

@@ -136,11 +136,12 @@ def profiling_enabled() -> bool:
 
 def profile_interval() -> float:
     """Sampling interval in seconds (env override, floor 1 ms)."""
-    raw = os.environ.get(PROFILE_INTERVAL_ENV, "")
-    try:
-        ms = float(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL_S
+    # Local import: envcfg imports repro.obs, whose package init imports
+    # this module.  A malformed value warns and defaults (repro.envcfg);
+    # values below 1 ms still clamp to 1 ms, as they always have.
+    from repro import envcfg
+
+    ms = envcfg.env_float(PROFILE_INTERVAL_ENV, DEFAULT_INTERVAL_S * 1e3)
     return max(ms, 1.0) / 1e3
 
 

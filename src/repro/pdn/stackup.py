@@ -35,6 +35,7 @@ property the paper exploits to make F2F reuse one mask set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,10 +73,14 @@ from repro.pdn.tsv import (
 )
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
-from repro.perf.cache import cached_dram_power_map
+from repro.perf.cache import (
+    cached_dram_power_map,
+    cached_logic_power_map,
+    power_map_key_prefix,
+)
 from repro.perf.timers import timed
 from repro.power.model import DramPowerSpec, LogicPowerSpec
-from repro.power.powermap import PowerMap, logic_power_map
+from repro.power.powermap import PowerMap
 from repro.power.state import MemoryState
 from repro.rmesh.backends import resolve_backend
 from repro.rmesh.solve import IRDropResult, StackSolver
@@ -274,18 +279,42 @@ class PDNStack:
                 die,
                 self.dram_grid,
                 self.tech.vdd,
+                key_prefix=self._dram_map_key,
             )
         if self.logic_grid is not None and logic_scale > 0.0:
             assert self.spec.logic_floorplan is not None
             assert self.spec.logic_power is not None
-            maps[self.logic_load_key] = logic_power_map(
+            # State-independent: one rasterization per stack and scale.
+            maps[self.logic_load_key] = cached_logic_power_map(
                 self.spec.logic_floorplan,
                 self.spec.logic_power,
                 self.logic_grid,
                 self.tech.vdd,
                 scale=logic_scale,
+                key_prefix=self._logic_map_key,
             )
         return maps
+
+    # The spec is frozen into this stack's plan, so the reprs in the
+    # power-map cache keys are taken once per stack, not per lookup.
+
+    @cached_property
+    def _dram_map_key(self) -> Tuple:
+        return power_map_key_prefix(
+            self.spec.dram_floorplan,
+            self.spec.dram_power,
+            self.dram_grid,
+            self.tech.vdd,
+        )
+
+    @cached_property
+    def _logic_map_key(self) -> Tuple:
+        return power_map_key_prefix(
+            self.spec.logic_floorplan,
+            self.spec.logic_power,
+            self.logic_grid,
+            self.tech.vdd,
+        )
 
     def _annotate_solver_error(
         self, exc: SolverError, states: Sequence[MemoryState]

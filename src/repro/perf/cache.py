@@ -17,11 +17,16 @@ its own process-global cache:
   :class:`~repro.pdn.stackup.PDNStack` wrapper (specs carry power
   descriptions the plan deliberately excludes, so wrappers are keyed
   separately from the physics they share).
-* **Power-map cache** -- maps ``(floorplan, power spec, state, die,
-  grid, vdd)`` to the rasterized per-node current map.  Design-space
+* **Power-map cache** -- maps ``(floorplan, power spec, grid, vdd)``
+  plus either ``(state, die, mirrored)`` for a DRAM die or ``scale`` for
+  the logic die to the rasterized per-node current map.  Design-space
   sampling evaluates hundreds of *different* stacks against the *same*
-  reference state on the *same* grid; rasterization is ~30% of each
-  sample, and this cache collapses it to one rasterization per state.
+  reference state on the *same* grid, and a LUT build evaluates one
+  stack's logic die, which no memory state changes, once per state;
+  the cache collapses both to one rasterization per distinct map.
+  Rasterization is a few array operations per block
+  (:meth:`~repro.geometry.Grid2D.coverage_fractions`), so what a hit
+  saves is mostly Python work per block, not arithmetic.
 
 Assembly runs under a shared :class:`~repro.pdn.assemble.AssemblySession`,
 so even *distinct* plans (a TSV-count sweep) reuse the unchanged layer
@@ -30,13 +35,17 @@ meshes and link blocks of previously assembled ones.
 Plan/power-map keys are built from ``repr`` of the participating (frozen
 or effectively-immutable) dataclasses, which is deterministic and covers
 every physical field -- two specs that print the same build the same
-network.  Entries are evicted least-recently-used.
+network.  A :class:`~repro.pdn.stackup.PDNStack` builds the
+state-independent part of its power-map keys once
+(:func:`power_map_key_prefix`), since its spec is frozen into its plan;
+direct callers of :func:`cached_dram_power_map` get a prefix built per
+call.  Entries are evicted least-recently-used.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
@@ -227,6 +236,39 @@ def cached_build_stack(
         return stack_cache.build(spec, config, tech=tech, pitch=pitch)
 
 
+def power_map_key_prefix(floorplan: Any, spec: Any, grid: Any, vdd: float) -> Tuple:
+    """The state-independent part of a power-map cache key.
+
+    ``repr`` of the floorplan and power spec is the costly part of a key,
+    so :class:`~repro.pdn.stackup.PDNStack` builds this once per stack
+    (its spec is frozen into its plan) and passes it to every lookup.
+    The reprs are taken when this is called: a ``DieFloorplan`` is a
+    mutable dataclass, so nothing here is memoized on object identity.
+    """
+    return (repr(floorplan), repr(spec), (grid.outline, grid.nx, grid.ny), vdd)
+
+
+def _cached_map(
+    key: Tuple, grid: Any, kind: str, rasterize: Callable[[], Any], **attrs: Any
+):
+    """Look ``key`` up in the power-map cache, rasterizing on a miss.
+
+    The cache keeps its own copy of a fresh map's current array, and a
+    hit wraps a copy of the cached array, so callers that mutate their
+    map cannot corrupt the cache.
+    """
+    from repro.power.powermap import PowerMap
+
+    with span("powermap.rasterize", kind=kind, **attrs) as sp:
+        current = power_map_cache.get(key)
+        sp.attrs["cached"] = current is not None
+        if current is None:
+            pmap = rasterize()
+            power_map_cache.put(key, pmap.current.copy())
+            return pmap
+        return PowerMap(grid, current.copy())
+
+
 def cached_dram_power_map(
     floorplan: Any,
     spec: Any,
@@ -235,33 +277,51 @@ def cached_dram_power_map(
     grid: Any,
     vdd: float,
     mirrored: bool = False,
+    key_prefix: Optional[Tuple] = None,
 ):
     """Memoized :func:`repro.power.powermap.dram_power_map`.
 
-    The returned :class:`PowerMap` wraps a *copy* of the cached current
-    array so callers that mutate their map cannot corrupt the cache.
+    ``key_prefix`` is :func:`power_map_key_prefix` of the same floorplan,
+    spec, grid and vdd, built once by the caller; without it the prefix
+    is built on every call.  Maps are copied in and out of the cache
+    (see :func:`_cached_map`).
     """
-    from repro.power.powermap import PowerMap, dram_power_map
+    from repro.power.powermap import dram_power_map
 
-    key = (
-        repr(floorplan),
-        repr(spec),
-        state.active,
-        die,
-        (grid.outline, grid.nx, grid.ny),
-        vdd,
-        mirrored,
+    if key_prefix is None:
+        key_prefix = power_map_key_prefix(floorplan, spec, grid, vdd)
+    return _cached_map(
+        (key_prefix, "dram", state.active, die, mirrored),
+        grid,
+        "dram",
+        lambda: dram_power_map(floorplan, spec, state, die, grid, vdd, mirrored),
+        die=die,
     )
-    with span("powermap.rasterize", kind="dram", die=die) as sp:
-        current = power_map_cache.get(key)
-        sp.attrs["cached"] = current is not None
-        if current is None:
-            pmap = dram_power_map(
-                floorplan, spec, state, die, grid, vdd, mirrored
-            )
-            power_map_cache.put(key, pmap.current)
-            return pmap
-        return PowerMap(grid, current.copy())
+
+
+def cached_logic_power_map(
+    floorplan: Any,
+    spec: Any,
+    grid: Any,
+    vdd: float,
+    scale: float,
+    key_prefix: Tuple,
+):
+    """Memoized :func:`repro.power.powermap.logic_power_map`.
+
+    The logic die's map does not depend on the memory state, so a LUT
+    build rasterizes it once per stack and scale instead of per state.
+    ``key_prefix`` is :func:`power_map_key_prefix` of the same floorplan,
+    spec, grid and vdd; maps are copied as in :func:`_cached_map`.
+    """
+    from repro.power.powermap import logic_power_map
+
+    return _cached_map(
+        (key_prefix, "logic", scale),
+        grid,
+        "logic",
+        lambda: logic_power_map(floorplan, spec, grid, vdd, scale=scale),
+    )
 
 
 def power_map_cache_enabled(enabled: bool) -> None:

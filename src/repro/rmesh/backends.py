@@ -162,11 +162,9 @@ def trace_enabled() -> bool:
 
 def trace_every() -> int:
     """Sampling period: one traced solve per this many (min 1)."""
-    raw = os.environ.get(TRACE_EVERY_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_TRACE_EVERY
+    # Warn-and-default on a malformed value (repro.envcfg); values below
+    # 1 still clamp to 1 (trace every solve), as they always have.
+    return max(envcfg.env_int(TRACE_EVERY_ENV, DEFAULT_TRACE_EVERY), 1)
 
 
 def record_trace(trace: ResidualTrace) -> None:

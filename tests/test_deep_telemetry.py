@@ -110,6 +110,21 @@ class TestProfiler:
         ts = [s.ts_us for s in samples]
         assert ts == sorted(ts)
 
+    def test_interval_env_garbage_warns_and_defaults(self, monkeypatch):
+        from repro import envcfg
+        from repro.obs import metrics as obs_metrics
+
+        envcfg.reset_warnings()
+        monkeypatch.setenv(obs_profile.PROFILE_INTERVAL_ENV, "20ms")
+        before = obs_metrics.snapshot()
+        assert obs_profile.profile_interval() == obs_profile.DEFAULT_INTERVAL_S
+        assert obs_profile.profile_interval() == obs_profile.DEFAULT_INTERVAL_S
+        delta = obs_metrics.diff(before, obs_metrics.snapshot())
+        assert delta["counters"].get("env.invalid_values") == 1  # warns once
+        # Values below 1 ms still clamp to the 1 ms floor, silently.
+        monkeypatch.setenv(obs_profile.PROFILE_INTERVAL_ENV, "0.25")
+        assert obs_profile.profile_interval() == 1.0 / 1e3
+
     def test_start_is_idempotent(self, clean_profile):
         obs_profile.start_profiler(interval_s=0.05)
         thread_count_after_first = obs_profile.sample_count()
@@ -254,6 +269,21 @@ class TestConvergenceTraces:
         op.solve(rhs)
         op.solve(rhs)
         assert rb.trace_count() == 2
+
+    def test_trace_every_env_garbage_warns_and_defaults(self, monkeypatch):
+        from repro import envcfg
+        from repro.obs import metrics as obs_metrics
+
+        envcfg.reset_warnings()
+        monkeypatch.setenv(rb.TRACE_EVERY_ENV, "every")
+        before = obs_metrics.snapshot()
+        assert rb.trace_every() == rb.DEFAULT_TRACE_EVERY
+        assert rb.trace_every() == rb.DEFAULT_TRACE_EVERY
+        delta = obs_metrics.diff(before, obs_metrics.snapshot())
+        assert delta["counters"].get("env.invalid_values") == 1  # warns once
+        # Values below 1 still clamp to 1 (trace every solve), silently.
+        monkeypatch.setenv(rb.TRACE_EVERY_ENV, "-2")
+        assert rb.trace_every() == 1
 
     def test_tracing_disabled_env(self, clean_traces, monkeypatch):
         monkeypatch.setenv(rb.CONVERGENCE_TRACE_ENV, "0")

@@ -1,4 +1,4 @@
-"""Grid2D: indexing, snapping, and rasterization conservation."""
+"""Grid2D: indexing, snapping, rasterization conservation and bitwise parity."""
 
 import numpy as np
 import pytest
@@ -98,3 +98,96 @@ class TestCoverage:
         covered = frac.sum() * grid.dx * grid.dy
         assert covered == pytest.approx(rect.area, abs=1e-9)
         assert np.all(frac >= 0.0) and np.all(frac <= 1.0 + 1e-12)
+
+
+def _reference_coverage(grid, rect):
+    """Per-cell rasterization through ``Rect`` objects, over every cell."""
+    frac = np.zeros((grid.ny, grid.nx))
+    cell_area = grid.dx * grid.dy
+    for i, j in grid.iter_indices():
+        frac[j, i] = grid.cell_rect(i, j).overlap_area(rect) / cell_area
+    return frac
+
+
+#: (nx, ny) with the degenerate 1xN and Nx1 shapes drawn as often as 2-D ones.
+_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 16)),
+    st.tuples(st.integers(1, 16), st.just(1)),
+    st.tuples(st.integers(1, 16), st.integers(1, 16)),
+)
+
+
+@st.composite
+def _grid_and_rect(draw):
+    nx, ny = draw(_SHAPES)
+    ox = draw(st.floats(-5.0, 5.0))
+    oy = draw(st.floats(-5.0, 5.0))
+    grid = Grid2D(
+        Rect(ox, oy, ox + draw(st.floats(0.1, 10.0)), oy + draw(st.floats(0.1, 10.0))),
+        nx,
+        ny,
+    )
+
+    def coord(origin, pitch, n):
+        # A cell edge exactly as cell_rect computes it, or any point in and
+        # around the outline (rects may stick out of it).
+        if draw(st.booleans()):
+            return origin + draw(st.integers(0, n)) * pitch
+        return draw(st.floats(origin - 3.0, origin + n * pitch + 3.0))
+
+    def extent(pitch):
+        # Zero (zero-area rects), whole cells, or any length.
+        return draw(st.one_of(
+            st.just(0.0),
+            st.integers(1, 4).map(lambda k: k * pitch),
+            st.floats(0.0, 6.0),
+        ))
+
+    x0 = coord(grid.outline.x0, grid.dx, nx)
+    y0 = coord(grid.outline.y0, grid.dy, ny)
+    rect = Rect(x0, y0, x0 + extent(grid.dx), y0 + extent(grid.dy))
+    if draw(st.booleans()):
+        axis = draw(st.one_of(
+            st.just(grid.outline.center.x), st.floats(-5.0, 15.0)
+        ))
+        rect = rect.mirrored_x(axis)
+    return grid, rect
+
+
+class TestCoverageBitwise:
+    @settings(max_examples=300, deadline=None)
+    @given(_grid_and_rect())
+    def test_matches_per_cell_reference_byte_for_byte(self, case):
+        grid, rect = case
+        got = grid.coverage_fractions(rect)
+        want = _reference_coverage(grid, rect)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # -0.0 vs 0.0 counts
+
+    @pytest.mark.parametrize("nx,ny", [(1, 7), (7, 1), (1, 1)])
+    def test_degenerate_shapes_on_cell_edges(self, nx, ny):
+        grid = Grid2D(Rect(-1.0, 0.5, 2.5, 3.0), nx, ny)
+        edge_x = grid.outline.x0 + grid.dx
+        edge_y = grid.outline.y0 + grid.dy
+        for rect in (
+            Rect(edge_x, edge_y, edge_x, edge_y),  # zero-area point on an edge
+            Rect(edge_x, grid.outline.y0, edge_x + grid.dx, edge_y),
+            Rect(-4.0, -4.0, 0.0, 1.0),  # partly outside the outline
+            grid.outline.mirrored_x(grid.outline.center.x),
+        ):
+            got = grid.coverage_fractions(rect)
+            assert got.tobytes() == _reference_coverage(grid, rect).tobytes()
+
+    @pytest.mark.parametrize("nx,ny", [(1, 3), (3, 1), (4, 4)])
+    def test_signed_zero_edges(self, nx, ny):
+        # Python's max/min keep their first argument on ties, so a
+        # zero-width rect at x = -0.0 on the cell edge x = 0.0 covers
+        # -0.0 of the cell; the rasterizer must keep that sign.
+        grid = Grid2D(Rect(0.0, 0.0, 2.0, 1.0), nx, ny)
+        for rect in (
+            Rect(-0.0, 0.0, -0.0, 1.0),
+            Rect(0.0, -0.0, 1.0, -0.0),
+            Rect(-0.0, -0.0, 0.5, 0.5),
+        ):
+            got = grid.coverage_fractions(rect)
+            assert got.tobytes() == _reference_coverage(grid, rect).tobytes()

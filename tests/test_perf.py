@@ -12,7 +12,10 @@ from repro.perf.cache import (
     LRUCache,
     cache_stats,
     cached_build_stack,
+    cached_dram_power_map,
     clear_caches,
+    power_map_cache,
+    power_map_cache_enabled,
     stack_cache,
 )
 from repro.perf.parallel import (
@@ -123,6 +126,129 @@ def test_lru_eviction_and_stats():
 def test_lru_rejects_bad_maxsize():
     with pytest.raises(ValueError):
         LRUCache(maxsize=0)
+
+
+# -- power-map cache: logic-die maps and per-stack keys --------------------------
+
+
+@pytest.fixture
+def logic_rasterizations(monkeypatch):
+    """Count calls of the logic-die rasterizer behind the cache."""
+    import repro.power.powermap as powermap
+
+    calls = []
+    inner = powermap.logic_power_map
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("scale", 1.0))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(powermap, "logic_power_map", counting)
+    return calls
+
+
+def _logic_map(stack, counts=(0, 0, 0, 0), scale=1.0):
+    state = MemoryState.from_counts(counts, stack.spec.dram_floorplan)
+    return stack.power_maps(state, scale)[stack.logic_load_key]
+
+
+def _fresh_logic_map(stack, scale=1.0):
+    from repro.power.powermap import logic_power_map
+
+    spec = stack.spec
+    return logic_power_map(
+        spec.logic_floorplan, spec.logic_power, stack.logic_grid,
+        stack.tech.vdd, scale=scale,
+    )
+
+
+def test_logic_map_rasterized_once_per_stack_and_scale(
+    onchip_stack, logic_rasterizations
+):
+    clear_caches()
+    want = _fresh_logic_map(onchip_stack).current.tobytes()
+    logic_rasterizations.clear()
+    for counts in [(0, 0, 0, 0), (1, 0, 0, 2), (2, 2, 2, 2)]:
+        assert _logic_map(onchip_stack, counts).current.tobytes() == want
+    assert logic_rasterizations == [1.0]  # state-independent: one miss
+    half = _logic_map(onchip_stack, scale=0.5)
+    assert half.current.tobytes() == (
+        _fresh_logic_map(onchip_stack, scale=0.5).current.tobytes()
+    )
+    assert logic_rasterizations == [1.0, 0.5, 0.5]  # scale is in the key
+    assert cache_stats().keys() == {"stack", "plan", "assembled", "power_map"}
+
+
+def test_logic_map_cache_hands_out_copies(onchip_stack):
+    clear_caches()
+    want = _fresh_logic_map(onchip_stack).current.tobytes()
+    miss = _logic_map(onchip_stack)
+    miss.current += 1.0  # the array the miss returned is not the cached one
+    hit = _logic_map(onchip_stack)
+    assert hit.current.tobytes() == want
+    hit.current *= 3.0  # nor is the array a hit returns
+    assert _logic_map(onchip_stack).current.tobytes() == want
+
+
+def test_logic_map_cache_cleared_and_disabled(onchip_stack, logic_rasterizations):
+    clear_caches()
+    _logic_map(onchip_stack)
+    _logic_map(onchip_stack)
+    assert len(logic_rasterizations) == 1
+    clear_caches()  # drops the logic entry with every other power map
+    _logic_map(onchip_stack)
+    assert len(logic_rasterizations) == 2
+    power_map_cache_enabled(False)
+    try:
+        _logic_map(onchip_stack)
+        _logic_map(onchip_stack)
+        assert len(logic_rasterizations) == 4  # every lookup re-rasterizes
+        assert len(power_map_cache) == 0
+    finally:
+        power_map_cache_enabled(True)
+
+
+def test_stack_key_prefix_matches_per_call_key(ddr3_stack):
+    # The stack's once-built key prefix and a direct caller's per-call one
+    # address the same cache entry.
+    clear_caches()
+    state = MemoryState.from_counts((0, 1, 0, 2), ddr3_stack.spec.dram_floorplan)
+    ddr3_stack.power_maps(state)
+    entries = len(power_map_cache)
+    hits = power_map_cache.hits
+    direct = cached_dram_power_map(
+        ddr3_stack.spec.dram_floorplan, ddr3_stack.spec.dram_power, state, 3,
+        ddr3_stack.dram_grid, ddr3_stack.tech.vdd,
+    )
+    assert len(power_map_cache) == entries
+    assert power_map_cache.hits == hits + 1
+    assert direct.current.tobytes() == (
+        ddr3_stack.power_maps(state)["dram4/M1"].current.tobytes()
+    )
+
+
+def test_direct_caller_key_follows_a_mutated_floorplan(ddr3_stack):
+    # DieFloorplan is a mutable dataclass: a direct caller's key is rebuilt
+    # from repr on every call, never memoized on the object's identity.
+    import copy
+
+    from repro.power.powermap import dram_power_map
+
+    clear_caches()
+    floorplan = copy.deepcopy(ddr3_stack.spec.dram_floorplan)
+    state = MemoryState.from_counts((0, 0, 0, 2), floorplan)
+    args = (ddr3_stack.spec.dram_power, state, 3, ddr3_stack.dram_grid,
+            ddr3_stack.tech.vdd)
+    cached_dram_power_map(floorplan, *args)
+    idle_bank = max(b.bank_id for b in floorplan.banks())
+    assert idle_bank not in state.active[3]
+    floorplan.blocks = [b for b in floorplan.blocks if b.bank_id != idle_bank]
+    misses = power_map_cache.misses
+    second = cached_dram_power_map(floorplan, *args)
+    assert power_map_cache.misses == misses + 1
+    assert second.current.tobytes() == (
+        dram_power_map(floorplan, *args).current.tobytes()
+    )
 
 
 # -- process fan-out ----------------------------------------------------------
