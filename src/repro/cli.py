@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.designs import all_benchmarks, benchmark
+from repro.errors import ReproError
 from repro.experiments import registry, run_experiment
 from repro.obs.log import configure, get_logger
 from repro.obs.manifest import build_manifest
@@ -1097,6 +1098,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     configure(level=args.log_level, json_path=args.log_json, quiet=args.quiet)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        # A user-facing failure (bad input file, bad knob, ...): one line
+        # with the error's structured context instead of a traceback.
+        _log.error("repro3d: %s: %s", type(exc).__name__, exc)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Apply the global flags, run the subcommand, write its outputs."""
     if args.workers is not None:
         # Experiment drivers resolve workers from the environment, so the
         # flag reaches every sweep without threading it through each API.

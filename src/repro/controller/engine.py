@@ -35,14 +35,25 @@ Design
 * **Channel-local scheduling.**  The legacy loop's issue pass is
   *channel-separable*: within one cycle, whether a command issues on
   channel ``c`` depends only on ``c``'s buses, ``c``'s banks, and the
-  iteration-constant active counts.  For FCFS-ordered policies
-  (``StandardJEDEC``, ``IRAwareFCFS``) the engine therefore keeps the
-  queue partitioned per channel and caches each channel's ready /
-  non-ready split, invalidating only on events that can change it
-  (arrival, completion, precharge, or a bank finishing activation).
-  Policies with dynamic priority order (``IRAwareDistR``, custom
-  subclasses) take a generic path that mirrors the legacy scan
-  structure exactly.
+  iteration-constant active counts.  For the shipped policies
+  (``StandardJEDEC``, ``IRAwareFCFS``, ``IRAwareDistR``) the engine
+  therefore keeps the queue partitioned per channel in arrival order
+  and caches each channel's ready / non-ready split, invalidating only
+  on events that can change it (arrival, precharge, or a bank finishing
+  activation; an issued read just leaves the split).  All three rank
+  requests by a per-die key with arrival order breaking ties -- a
+  constant for FCFS, the target die's active-bank count for DistR -- so
+  one scan body serves them: pass 1 issues the eligible ready entry
+  with the smallest (key, arrival) per channel, and pass 2 visits
+  channels in order of their best waiting entry, each offering its
+  ``act_lookahead`` best waiting entries (for DistR re-ranked by the
+  current counts once an earlier channel's ACT or PRE moved them, as
+  ``IRAwareDistR.act_candidates`` does).  The IR-aware ``may_read`` and
+  ``may_activate`` (``IRAwareFCFS``'s, which DistR inherits) are pure
+  functions of the active counts and the die, so their LUT answers are
+  cached per state; JEDEC admission is re-armed only by an ACT.
+  Custom subclasses that override ``order`` or ``act_candidates`` take
+  a generic path that mirrors the legacy scan structure exactly.
 
 * **Streaming workloads.**  The engine consumes any iterable of
   :class:`~repro.controller.request.ReadRequest` — a materialized list
@@ -56,12 +67,13 @@ Design
   ``SimResult.states_dropped`` (and the ``sim.states.dropped`` metric)
   instead of growing memory without bound on long trace runs.
 
-Engine contract note: on the FCFS fast path,
-``ReadPolicy.act_candidates`` receives at most ``act_lookahead`` waiting
-requests per channel (the legacy loop passed the full list and every
-shipped policy sliced it to the same window itself).  Policies that
-override ``order`` or ``act_candidates`` automatically take the generic
-path, which passes the full per-channel list like the legacy loop.
+Engine contract note: the fast path never calls ``order`` or
+``act_candidates``; it computes what the stock FCFS and DistR
+implementations return (the legacy loop passed the full waiting list and
+every shipped policy sliced it to the same window itself).  Policies
+that override ``order`` or ``act_candidates`` automatically take the
+generic path, which calls both and passes the full per-channel list like
+the legacy loop.
 
 The legacy loop remains available as
 :meth:`repro.controller.simulator.MemoryControllerSim.run_legacy` — it
@@ -87,7 +99,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.controller.lut import IRDropLUT, StaticIRDropLUT
-from repro.controller.policies import IRAwareFCFS, ReadPolicy, StandardJEDEC
+from repro.controller.policies import (
+    IRAwareDistR,
+    IRAwareFCFS,
+    ReadPolicy,
+    StandardJEDEC,
+)
 from repro.controller.request import ReadRequest
 from repro.dram.timing import TimingParams
 from repro.errors import SimulationError
@@ -101,9 +118,9 @@ _FAR: int = 1 << 62
 #: idle-close eligibility masks beat the incremental scalar scans.
 _VEC_THRESHOLD: int = 48
 
-#: one queue entry on the FCFS fast path: (request, flat bank index,
-#: global arrival sequence number).
-_Entry = Tuple[ReadRequest, int, int]
+#: one queue entry on the per-channel fast path: (request, flat bank
+#: index, global arrival sequence number, die).
+_Entry = Tuple[ReadRequest, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -370,16 +387,25 @@ class EventDrivenEngine:
         # ACT instead of every scheduling iteration.
         act_window = 0
 
-        # Policy capability detection.  The FCFS fast path applies when
-        # order/act_candidates are the stock FCFS implementations (so a
-        # per-channel split in arrival order reproduces the global scan)
-        # and may_read is either the always-true default or the IR-aware
-        # counts-only check (uniform across dies, cacheable per state).
+        # Policy capability detection.  The per-channel fast path applies
+        # when order/act_candidates are the stock FCFS or DistR pair: both
+        # rank entries by a per-die key (constant for FCFS, the die's
+        # active count for DistR) with arrival order breaking ties, so a
+        # per-channel split in arrival order reproduces the global scan.
         lookahead = policy.act_lookahead
         order_fn = type(policy).order
-        fcfs_mode = (
-            order_fn is StandardJEDEC.order or order_fn is IRAwareFCFS.order
-        ) and type(policy).act_candidates is ReadPolicy.act_candidates
+        cand_fn = type(policy).act_candidates
+        keyed = order_fn is IRAwareDistR.order and (
+            cand_fn is IRAwareDistR.act_candidates
+        )
+        chan_mode = keyed or (
+            (order_fn is StandardJEDEC.order or order_fn is IRAwareFCFS.order)
+            and cand_fn is ReadPolicy.act_candidates
+        )
+        zero_key = (0,) * D
+        # FCFS's activation window is the first act_lookahead waiting
+        # entries; DistR ranks every waiting entry to choose its window.
+        nr_cap = depth if keyed and lookahead > 0 else lookahead
         mr_fn = type(policy).may_read
         if mr_fn is ReadPolicy.may_read:
             mr_kind = 0  # always True
@@ -388,7 +414,7 @@ class EventDrivenEngine:
         else:
             mr_kind = 2  # arbitrary override: call per request
         mr_cache: Dict[Tuple[int, ...], bool] = {}
-        # may_activate dispatch (fcfs fast path only): StandardJEDEC's is
+        # may_activate dispatch (fast path only): StandardJEDEC's is
         # die- and counts-independent, so one evaluation covers the whole
         # cycle (an ACT re-arms tRRD, blocking further ACTs this cycle);
         # IRAwareFCFS's depends only on (counts, die), so it caches.
@@ -434,18 +460,16 @@ class EventDrivenEngine:
                 self._validate(next_req)
                 next_arrival = next_req.arrival_cycle
 
-        # Request queue.  FCFS mode: partitioned per channel with a
-        # cached ready / non-ready split per channel.  Generic mode: one
-        # global list in arrival order, re-prioritized by the policy
-        # every scheduling iteration.
+        # Request queue.  Fast path: partitioned per channel with a cached
+        # ready / non-ready split per channel.  Generic path: one global list in arrival order, re-prioritized
+        # by the policy every scheduling iteration.
         q: List[ReadRequest] = []
         q_by_chan: List[List[_Entry]] = [[] for _ in range(C)]
         q_len = 0
         seq_counter = 0
         dirty = [True] * C
         cache_ready: List[List[_Entry]] = [[] for _ in range(C)]
-        cache_nr: List[List[ReadRequest]] = [[] for _ in range(C)]
-        cache_first = [0] * C
+        cache_nr: List[List[_Entry]] = [[] for _ in range(C)]
 
         # Incremental bookkeeping.
         counts = [0] * D  # is_active (ACTIVATING|ACTIVE) banks per die
@@ -500,10 +524,11 @@ class EventDrivenEngine:
                         r = wl[pending]
                         if r.arrival_cycle > now:
                             break
-                        if fcfs_mode:
+                        if chan_mode:
                             b = r.bank
                             c = chan_of_bank[b]
-                            q_by_chan[c].append((r, r.die * B + b, seq_counter))
+                            d = r.die
+                            q_by_chan[c].append((r, d * B + b, seq_counter, d))
                             dirty[c] = True
                         else:
                             q.append(r)
@@ -522,10 +547,11 @@ class EventDrivenEngine:
                         and next_req.arrival_cycle <= now
                     ):
                         r = next_req
-                        if fcfs_mode:
+                        if chan_mode:
                             b = r.bank
                             c = chan_of_bank[b]
-                            q_by_chan[c].append((r, r.die * B + b, seq_counter))
+                            d = r.die
+                            q_by_chan[c].append((r, d * B + b, seq_counter, d))
                             dirty[c] = True
                         else:
                             q.append(r)
@@ -605,7 +631,7 @@ class EventDrivenEngine:
             # policy order.  Pass 2: per free channel, one activation
             # candidate chosen by the policy may ACT, or PRE its bank on
             # a row mismatch.
-            if q_len and fcfs_mode:
+            if q_len and chan_mode:
                 if mr_kind == 1:
                     mr_val = mr_cache.get(counts_t)
                     if mr_val is None:
@@ -614,93 +640,125 @@ class EventDrivenEngine:
                     reads_possible = mr_val
                 else:
                     reads_possible = True
-                p2: List[Tuple[int, int]] = []
+                # Priority key of an entry is kv[die]: the die's active
+                # bank count under DistR, a constant under FCFS (so the
+                # key-ordered scans below reduce to arrival order).
+                if keyed:
+                    kv = counts_t
+                    kmin = min(counts_t)
+                else:
+                    kv = zero_key
+                    kmin = 0
+                p2: List[Tuple[int, int, List[_Entry], int]] = []
                 for c in range(C):
                     lst = q_by_chan[c]
                     if not lst or used_mark[c] == gen or now < cmd_free[c]:
                         continue
                     if dirty[c]:
                         rc: List[_Entry] = []
-                        nr: List[ReadRequest] = []
-                        first = _FAR
+                        nr: List[_Entry] = []
                         for e in lst:
-                            r = e[0]
                             i = e[1]
-                            if st[i] == 2 and rowv[i] == r.row:
+                            if st[i] == 2 and rowv[i] == e[0].row:
                                 rc.append(e)
-                            else:
-                                if first == _FAR:
-                                    first = e[2]
-                                if len(nr) < lookahead:
-                                    nr.append(r)
+                            elif len(nr) < nr_cap:
+                                nr.append(e)
                         cache_ready[c] = rc
                         cache_nr[c] = nr
-                        cache_first[c] = first
                         dirty[c] = False
                     else:
                         rc = cache_ready[c]
                         nr = cache_nr[c]
-                    issued_here = False
+                    # Pass 1: the eligible ready entry with the smallest
+                    # (key, seq); rc is in arrival order, so the first
+                    # entry reaching the smallest possible key wins.
+                    sel: Optional[_Entry] = None
                     if rc and reads_possible:
                         r_ok = now + tCL >= data_free[c]
                         w_ok = now + tCWL >= data_free[c]
                         if r_ok or w_ok:
+                            bk = _FAR
                             for e in rc:
-                                req = e[0]
                                 i = e[1]
                                 if now < rdy[i] or now < col[i] + tCCD:
                                     continue
+                                req = e[0]
                                 if req.is_write:
                                     if not w_ok:
                                         continue
                                 elif not r_ok:
                                     continue
+                                k = kv[e[3]]
+                                if k >= bk:
+                                    continue
                                 if mr_kind == 2 and not policy.may_read(
-                                    req.die, now, counts_t
+                                    e[3], now, counts_t
                                 ):
                                     continue
-                                if refresh_enabled and refresh_due[req.die]:
+                                if refresh_enabled and refresh_due[e[3]]:
                                     continue
-                                cmd_free[c] = now + 1
-                                if req.is_write:
-                                    end = now + tCWL + burst
-                                    writes_n += 1
-                                else:
-                                    end = now + tCL + burst
-                                    reads_n += 1
-                                data_free[c] = end
-                                vec.set_col(i, now)
-                                vec.set_lact(i, now)
-                                req.issue_cycle = now
-                                req.complete_cycle = end
-                                latency_sum += end - req.arrival_cycle
-                                for pos, ee in enumerate(lst):
-                                    if ee is e:
-                                        del lst[pos]
-                                        break
-                                q_len -= 1
-                                dirty[c] = True
-                                completed += 1
-                                read_states.add(counts_t)
-                                used_mark[c] = gen
-                                used_n += 1
-                                issued_any = True
-                                issued_here = True
+                                sel = e
+                                if k == kmin:
+                                    break
+                                bk = k
+                    if sel is not None:
+                        req = sel[0]
+                        i = sel[1]
+                        cmd_free[c] = now + 1
+                        if req.is_write:
+                            end = now + tCWL + burst
+                            writes_n += 1
+                        else:
+                            end = now + tCL + burst
+                            reads_n += 1
+                        data_free[c] = end
+                        vec.set_col(i, now)
+                        vec.set_lact(i, now)
+                        req.issue_cycle = now
+                        req.complete_cycle = end
+                        latency_sum += end - req.arrival_cycle
+                        # A column command moves no bank between open and
+                        # closed, so the cached split stays valid once the
+                        # issued entry leaves it.
+                        for pos, ee in enumerate(lst):
+                            if ee is sel:
+                                del lst[pos]
                                 break
-                    if not issued_here and nr:
-                        p2.append((cache_first[c], c))
-                # Pass 2, in the order channels first saw a waiting
-                # request (the legacy scan's dict-insertion order).
-                # fcfs_mode guarantees the stock act_candidates, which
-                # returns exactly the capped non-ready window cache_nr.
+                        for pos, ee in enumerate(rc):
+                            if ee is sel:
+                                del rc[pos]
+                                break
+                        q_len -= 1
+                        completed += 1
+                        read_states.add(counts_t)
+                        used_mark[c] = gen
+                        used_n += 1
+                        issued_any = True
+                    elif nr:
+                        # The channel's activation window: its first
+                        # act_lookahead waiting entries by (key, seq).
+                        if keyed and len(nr) > 1:
+                            win = sorted(nr, key=lambda e: kv[e[3]])
+                            del win[lookahead:]
+                        else:
+                            win = nr
+                        h = win[0]
+                        p2.append((kv[h[3]], h[2], win, c))
+                # Pass 2, channels in order of their window heads (the
+                # legacy scan's dict-insertion order).  The window is
+                # re-ranked by the current counts when an earlier channel's
+                # ACT or PRE moved them, as IRAwareDistR.act_candidates does.
                 if p2:
                     if len(p2) > 1:
                         p2.sort()
                     act_ok = ma_kind != 1 or now >= act_window
-                    for _, c in p2:
-                        for req in cache_nr[c]:
-                            d = req.die
-                            i = d * B + req.bank
+                    for _, _, win, c in p2:
+                        if keyed and counts_t is not kv and len(win) > 1:
+                            win = sorted(win, key=lambda e: counts_t[e[3]])
+                        for e in win:
+                            req = e[0]
+                            d = e[3]
+                            i = e[1]
                             if st[i] == 0 and now >= rdy[i]:
                                 if not act_ok:
                                     continue
@@ -762,8 +820,8 @@ class EventDrivenEngine:
                                 bb = req.bank
                                 rr = rowv[i]
                                 hit = False
-                                for e in q_by_chan[c]:
-                                    r2 = e[0]
+                                for e2 in q_by_chan[c]:
+                                    r2 = e2[0]
                                     if (
                                         r2.die == d
                                         and r2.bank == bb
@@ -945,7 +1003,7 @@ class EventDrivenEngine:
                     if not (shedding or force_close):
                         rr = rowv[i]
                         hit = False
-                        if fcfs_mode:
+                        if chan_mode:
                             for e in q_by_chan[c]:
                                 r2 = e[0]
                                 if (

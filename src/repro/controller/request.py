@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -197,7 +197,9 @@ def measured_row_hit_rate(requests: List[ReadRequest]) -> float:
 #   requests (they are what the request stream is), and cycles must be
 #   non-decreasing.
 #
-# Readers are generators: a multi-million-line trace streams through the
+# Readers open the file when called -- a missing or unreadable trace
+# raises :class:`~repro.errors.TraceError` carrying ``path`` right away --
+# and then parse lazily: a multi-million-line trace streams through the
 # event engine without ever being materialized.  Malformed lines raise
 # :class:`~repro.errors.TraceError` carrying ``path`` and ``line``.
 
@@ -242,6 +244,15 @@ class TraceMapping:
         return block * self.line_bytes
 
 
+def _open_trace(path: Path) -> IO[str]:
+    try:
+        return path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise TraceError(
+            f"cannot open trace: {exc.strerror or exc}", path=str(path)
+        ) from exc
+
+
 def read_ramulator_trace(
     path: Union[str, Path],
     mapping: TraceMapping = TraceMapping(),
@@ -255,7 +266,15 @@ def read_ramulator_trace(
     if arrival_interval < 0:
         raise ConfigurationError("arrival interval must be >= 0")
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    return _ramulator_requests(
+        _open_trace(path), path, mapping, arrival_interval
+    )
+
+
+def _ramulator_requests(
+    fh: IO[str], path: Path, mapping: TraceMapping, arrival_interval: float
+) -> Iterator[ReadRequest]:
+    with fh:
         req_id = 0
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -310,7 +329,11 @@ def read_drampower_trace(path: Union[str, Path]) -> Iterator[ReadRequest]:
     arrival logic consumes the stream in time order).
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    return _drampower_requests(_open_trace(path), path)
+
+
+def _drampower_requests(fh: IO[str], path: Path) -> Iterator[ReadRequest]:
+    with fh:
         req_id = 0
         last_cycle = -1
         for lineno, raw in enumerate(fh, start=1):

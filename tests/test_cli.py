@@ -182,10 +182,28 @@ class TestSimCommand:
         assert "ir_distr" in out
         assert "max IR drop:" in out
 
-    def test_sim_malformed_trace_reports_context(self, tmp_path):
-        from repro.errors import TraceError
-
+    def test_sim_malformed_trace_reports_context(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("0x0 R\nnot a line\n")
-        with pytest.raises(TraceError):
-            main(["sim", "--trace", str(bad)])
+        assert main(["sim", "--trace", str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert "TraceError" in out
+        assert f"path={bad}" in out
+        assert "line=2" in out
+        assert "Traceback" not in out
+
+    def test_sim_missing_trace_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["sim", "--trace", str(missing)]) == 2
+        out = capsys.readouterr().out
+        assert "TraceError: cannot open trace" in out
+        assert f"path={missing}" in out
+
+
+class TestUserErrors:
+    def test_bogus_solver_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SOLVER", "bogus")
+        assert main(["solve", "ddr3_off", "0-0-0-2"]) == 2
+        out = capsys.readouterr().out
+        assert "ConfigurationError: unknown solver backend 'bogus'" in out
+        assert "REPRO_SOLVER" in out

@@ -15,6 +15,7 @@ import pytest
 from repro.controller import (
     IRAwareDistR,
     IRAwareFCFS,
+    IRDropLUT,
     MemoryControllerSim,
     SimConfig,
     StandardJEDEC,
@@ -78,6 +79,71 @@ class TestDecisionExactness:
         )
         wc = WorkloadConfig(num_requests=1200, seed=7, write_fraction=0.2)
         _assert_identical(*_run_both(cfg, policy, timing, ddr3_lut, wc))
+
+
+class _GenericDistR(IRAwareDistR):
+    """DistR with a pass-through ``order`` override: identical decisions,
+    but any override sends the engine down its generic path."""
+
+    def order(self, queued, active_counts, is_ready=None):
+        return super().order(queued, active_counts, is_ready)
+
+
+#: (SimConfig overrides, WorkloadConfig overrides) per shape.
+DISTR_SHAPES = {
+    "one_channel": ({}, {"arrival_interval": 2}),
+    "two_channel_refresh_writes": (
+        {"num_channels": 2, "refresh_enabled": True},
+        {"arrival_interval": 1, "write_fraction": 0.3},
+    ),
+    "two_channel_capped": (
+        {"num_channels": 2, "max_banks_per_channel": 1},
+        {"arrival_interval": 1},
+    ),
+    "hmc_16_channel": (
+        {
+            "num_dies": 4,
+            "banks_per_die": 32,
+            "num_channels": 16,
+            "max_banks_per_die": 8,
+            "max_banks_per_channel": 2,
+        },
+        {"banks_per_die": 32, "arrival_interval": 1},
+    ),
+}
+
+
+class TestDistRFastPath:
+    """IRAwareDistR's per-channel fast path makes the decisions of the
+    generic policy-ordered scan, request by request."""
+
+    @pytest.mark.parametrize("lut_kind", ("dynamic", "static"))
+    @pytest.mark.parametrize("shape", sorted(DISTR_SHAPES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_generic_path(
+        self, timing, ddr3_lut, ddr3_lut_json, seed, shape, lut_kind
+    ):
+        lut = (
+            ddr3_lut
+            if lut_kind == "dynamic"
+            else IRDropLUT.from_json(ddr3_lut_json)
+        )
+        cfg_kw, wc_kw = DISTR_SHAPES[shape]
+        cfg = SimConfig(timing=timing, **cfg_kw)
+        wc = WorkloadConfig(num_requests=1000, seed=seed, **wc_kw)
+        fast_wl = generate_workload(wc)
+        generic_wl = generate_workload(wc)
+        fast = EventDrivenEngine(
+            cfg, IRAwareDistR(lut, 24.0), fast_wl, report_lut=lut
+        ).run()
+        generic = EventDrivenEngine(
+            cfg, _GenericDistR(lut, 24.0), generic_wl, report_lut=lut
+        ).run()
+        assert fast.finished
+        _assert_identical(generic, fast)
+        assert [(r.issue_cycle, r.complete_cycle) for r in fast_wl] == [
+            (r.issue_cycle, r.complete_cycle) for r in generic_wl
+        ]
 
 
 class TestStreamingWorkload:

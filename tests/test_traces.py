@@ -164,6 +164,24 @@ class TestMalformedLines:
         assert "line=11" in rendered
 
 
+class TestUnreadableFile:
+    @pytest.mark.parametrize("name", ("missing.trace", "missing.csv"))
+    def test_missing_file_raises_at_call(self, tmp_path, name):
+        """The reader opens its file when called, so a missing trace fails
+        with path context before anything consumes the stream."""
+        path = tmp_path / name
+        with pytest.raises(TraceError) as exc_info:
+            read_trace(path)
+        assert exc_info.value.context["path"] == str(path)
+        assert "cannot open trace" in str(exc_info.value)
+
+    def test_directory_raises_at_call(self, tmp_path):
+        with pytest.raises(TraceError):
+            read_ramulator_trace(tmp_path)
+        with pytest.raises(TraceError):
+            read_drampower_trace(tmp_path)
+
+
 class TestStreamingBehavior:
     def test_reader_is_lazy(self, tmp_path):
         """The reader must not pre-parse the file: a bad line past the
