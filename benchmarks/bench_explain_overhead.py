@@ -60,6 +60,7 @@ def run_benchmark() -> dict:
     from repro.pdn import build_stack
     from repro.pdn.diagnose import diagnose_result
     from repro.perf.cache import clear_caches
+    from repro.rmesh.solve import currents_from_maps
 
     bench = benchmark("ddr3_off")
     state = bench.reference_state()
@@ -82,7 +83,7 @@ def run_benchmark() -> dict:
         # purpose: the solve wall is everything explain pays before
         # diagnostics (power maps, load currents, factorize, solve).
         solver = stack.solver
-        currents = solver.currents_from_maps(stack.power_maps(state))
+        currents = currents_from_maps(stack.model, stack.power_maps(state))
         raw = solver.solve_currents(currents)
         solve_walls.append(time.perf_counter() - t0)
 

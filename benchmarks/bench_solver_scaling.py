@@ -3,15 +3,17 @@
 Three legs over the pluggable backends of :mod:`repro.rmesh.backends`:
 
 * **equivalence** -- every benchmark stack's reference state solved with
-  ``direct``, ``cg``, and ``amg`` (which falls back to cg when pyamg is
-  absent); max-IR must agree with direct within ``EQUIV_RTOL`` relative.
+  every backend (``direct`` and ``cg``); max-IR must agree with direct
+  within ``EQUIV_RTOL`` relative.
 * **warm-start** -- a fig5-style TSV-count sweep over off-chip DDR3 at a
-  finer-than-production pitch, solved twice with the cg backend: cold
+  finer-than-production pitch, solved with the cg backend both cold
   (a fresh solver, hence a fresh factor preconditioner, per point) and
   warm (one :class:`repro.pdn.sweep.SweepSolveSession` carrying the
-  preconditioner and previous solution across neighbors).  The session
-  must be >= ``MIN_WARM_SPEEDUP`` faster and numerically agree with the
-  direct path.
+  preconditioner and previous solution across neighbors).  Each side
+  runs ``WARM_PASSES`` times, interleaved, every pass from freshly
+  cleared caches, and keeps its best wall; the
+  session must be >= ``MIN_WARM_SPEEDUP`` faster and numerically agree
+  with the direct path.
 * **scaling** -- a synthetic SRAM-PG-style workload
   (:mod:`repro.rmesh.workloads`) at >= ``SCALE_FACTOR``x the nodes of
   the largest direct-solved benchmark stack (Wide I/O), solved with
@@ -53,6 +55,9 @@ SMOKE_COUNTS = tuple(range(240, 311, 10))
 #: at reference resolution; observed speedup there is ~2.4x.
 WARM_SWEEP_PITCH = 0.2
 
+#: Timed passes per side of the warm-start leg (best wall kept).
+WARM_PASSES = 3
+
 #: Minimum accepted warm-over-cold speedup (acceptance criterion).
 #: Warm-start typically lands 2-3x; the floor sits below that band
 #: because the cold leg's wall is factorization-dominated and jitters
@@ -84,7 +89,7 @@ def _bench_equivalence() -> dict:
     """Leg 1: every backend agrees with direct on every benchmark."""
     from repro.designs import all_benchmarks, benchmark
     from repro.perf.cache import cached_build_stack, clear_caches
-    from repro.rmesh.backends import amg_available
+    from repro.rmesh.backends import BACKENDS
 
     rows = {}
     worst = 0.0
@@ -96,7 +101,7 @@ def _bench_equivalence() -> dict:
         maps = stack.power_maps(state)
         reference = None
         rows[name] = {}
-        for backend in ("direct", "cg", "amg"):
+        for backend in BACKENDS:
             solver = stack.solver_for(backend)
             result = solver.solve_power_maps(maps)
             ir = result.max_drop_mv()
@@ -118,7 +123,6 @@ def _bench_equivalence() -> dict:
     return {
         "per_benchmark": rows,
         "worst_rel_err": float(f"{worst:.3e}"),
-        "amg_available": amg_available(),
     }
 
 
@@ -136,36 +140,56 @@ def _bench_warm_start() -> dict:
     def config_for(count):
         return bench.baseline.with_options(tsv_count=count)
 
-    # Pre-warm the plan/assembly/power-map caches so both legs time the
-    # *solver* path, not the (identical, cached) build path.
-    clear_caches()
-    for count in counts:
-        cached_build_stack(
-            bench.stack, config_for(count), pitch=WARM_SWEEP_PITCH
-        ).power_maps(state)
+    # Every pass starts from the same state: caches dropped (with them
+    # the assembled stacks' cached solvers, so no pass reuses another's
+    # preconditioners), then plans/assemblies/power maps pre-warmed so
+    # both legs time the *solver* path, not the (identical) build path.
+    def _reset():
+        clear_caches()
+        for count in counts:
+            cached_build_stack(
+                bench.stack, config_for(count), pitch=WARM_SWEEP_PITCH
+            ).power_maps(state)
 
     # Cold: what the sweep costs without the session -- a fresh solver
     # (fresh factor preconditioner) at every point.
-    t0 = time.perf_counter()
-    cold_vals = []
-    for count in counts:
-        stack = cached_build_stack(
-            bench.stack, config_for(count), pitch=WARM_SWEEP_PITCH
-        )
-        solver = StackSolver(stack.model, backend="cg")
-        cold_vals.append(stack.solve_state(state, solver=solver).dram_max_mv)
-    cold_s = time.perf_counter() - t0
+    def _cold_pass():
+        t0 = time.perf_counter()
+        vals = []
+        for count in counts:
+            stack = cached_build_stack(
+                bench.stack, config_for(count), pitch=WARM_SWEEP_PITCH
+            )
+            solver = StackSolver(stack.model, backend="cg")
+            vals.append(stack.solve_state(state, solver=solver).dram_max_mv)
+        return time.perf_counter() - t0, vals
 
     # Warm: one session carries the preconditioner + solution across
     # knob-only neighbors.
-    session = SweepSolveSession(backend="cg", pitch=WARM_SWEEP_PITCH)
-    t0 = time.perf_counter()
-    warm_vals, iterations = [], []
-    for count in counts:
-        result = session.solve(bench, config_for(count), state)
-        warm_vals.append(result.dram_max_mv)
-        iterations.append(result.raw.iterations)
-    warm_s = time.perf_counter() - t0
+    def _warm_pass():
+        session = SweepSolveSession(backend="cg", pitch=WARM_SWEEP_PITCH)
+        t0 = time.perf_counter()
+        vals, iters = [], []
+        for count in counts:
+            result = session.solve(bench, config_for(count), state)
+            vals.append(result.dram_max_mv)
+            iters.append(result.raw.iterations)
+        return time.perf_counter() - t0, vals, iters, session
+
+    # Both legs are factorization-dominated and jitter on a busy
+    # single-core box; interleaving the passes exposes both sides to the
+    # same machine drift, and the best of WARM_PASSES per side drops
+    # one-off outliers (the scaling leg below does the same).
+    cold_passes, warm_passes = [], []
+    for _ in range(WARM_PASSES):
+        _reset()
+        cold_passes.append(_cold_pass())
+        _reset()
+        warm_passes.append(_warm_pass())
+    cold_s, cold_vals = min(cold_passes, key=lambda t: t[0])
+    warm_s, warm_vals, iterations, session = min(
+        warm_passes, key=lambda t: t[0]
+    )
 
     # Ground truth: the bitwise-pinned direct path over the same sweep.
     direct_vals = [
@@ -192,6 +216,7 @@ def _bench_warm_start() -> dict:
     return {
         "tsv_counts": list(counts),
         "pitch": WARM_SWEEP_PITCH,
+        "passes": WARM_PASSES,
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "speedup": round(speedup, 2),
@@ -207,6 +232,7 @@ def _bench_scaling() -> dict:
     from repro.designs import all_benchmarks, benchmark
     from repro.perf.cache import cached_build_stack, clear_caches
     from repro.rmesh.backends import make_operator
+    from repro.rmesh.solve import currents_from_maps
     from repro.rmesh.workloads import workload_for_nodes
 
     # Largest benchmark stack (by node count) = the direct-solve ceiling.
@@ -221,7 +247,7 @@ def _bench_scaling() -> dict:
     state = bench.reference_state()
     maps = biggest_stack.power_maps(state)
     matrix = biggest_stack.model.conductance_matrix().tocsc()
-    currents = biggest_stack.solver_for("direct").currents_from_maps(maps)
+    currents = currents_from_maps(biggest_stack.model, maps)
 
     # Synthetic workload at >= SCALE_FACTOR x nodes, matrix-free Jacobi-CG.
     workload = workload_for_nodes(
@@ -331,7 +357,7 @@ def run_benchmark() -> dict:
 
 @register_bench("solver_scaling")
 def test_solver_scaling():
-    """Backends agree, warm-start >= 2x, 4x-node mesh within direct wall."""
+    """Backends agree, warm-start >= 1.6x, 4x-node mesh within direct wall."""
     result = run_benchmark()
     print("\n" + json.dumps(result, indent=2))
     warm = result["warm_start"]

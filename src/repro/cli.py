@@ -638,9 +638,9 @@ def _global_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--solver",
         choices=BACKENDS,
-        help="linear solver backend for all DC solves (default: direct, or "
-        f"the {SOLVER_ENV} environment variable; amg falls back to cg "
-        "when pyamg is unavailable)",
+        help="linear solver backend for all R-Mesh solves, DC and "
+        f"transient (default: direct, or the {SOLVER_ENV} environment "
+        "variable)",
     )
     common.add_argument(
         "--log-level",

@@ -1,9 +1,10 @@
 """Extension experiment: TSV current crowding across design options.
 
 Not a paper table -- the paper cites current crowding qualitatively
-(section 3.2, reference [6]); this driver quantifies it with the branch-
-current analysis: per-TSV current distribution at each die interface for
-the main design options.
+(section 3.2, reference [6]); this driver quantifies it with the branch
+currents of :func:`repro.rmesh.branches.extract_branches` (the path
+``repro3d explain`` checks against KCL): per-TSV current distribution at
+the stressed die interface for the main design options.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from repro.designs import off_chip_ddr3
 from repro.experiments.base import ExperimentResult, Row, register
 from repro.pdn import Bonding, BumpLocation, TSVLocation, build_stack
 from repro.power import MemoryState
-from repro.rmesh.currents import BranchCurrentAnalysis
+from repro.rmesh.branches import extract_branches
 
 
 @register("ext_crowding")
@@ -32,10 +33,10 @@ def run(fast: bool = True) -> ExperimentResult:
     for label, config in options.items():
         stack = build_stack(bench.stack, config)
         result = stack.solve_state(state)
-        analysis = BranchCurrentAnalysis(result.raw)
+        branches = extract_branches(result.raw.model, result.raw.drops)
         # The interface feeding the active top die is the stressed one.
-        report = analysis.interface_crowding("dram3/M3", "dram4/M3")
-        supply = analysis.supply_crowding()
+        report = branches.interface("dram3/M3", "dram4/M3").crowding()
+        supply = branches.supply.crowding()
         rows.append(
             Row(
                 label=label,

@@ -43,7 +43,7 @@ from repro.obs.trace import span
 from repro.pdn.assemble import OpArtifactSpan
 from repro.pdn.plan import StackPlan, _op_brief
 from repro.rmesh.branches import StackBranches, extract_branches
-from repro.rmesh.solve import IRDropResult
+from repro.rmesh.solve import IRDropResult, currents_from_maps
 from repro.units import to_mv
 
 #: Bump when the ``repro3d explain`` JSON artifact layout changes.
@@ -653,7 +653,7 @@ def diagnose_stack(stack, state=None, logic_scale: float = 1.0) -> DesignDiagnos
     with span("diagnose.explain", benchmark=stack.spec.name):
         maps = stack.power_maps(state, logic_scale)
         solver = stack.solver
-        currents = solver.currents_from_maps(maps)
+        currents = currents_from_maps(stack.model, maps)
         raw = solver.solve_currents(currents)
         diagnosis = diagnose_result(
             raw,

@@ -83,7 +83,7 @@ from repro.power.model import DramPowerSpec, LogicPowerSpec
 from repro.power.powermap import PowerMap
 from repro.power.state import MemoryState
 from repro.rmesh.backends import resolve_backend
-from repro.rmesh.solve import IRDropResult, StackSolver
+from repro.rmesh.solve import IRDropResult, StackSolver, currents_from_maps
 from repro.rmesh.stack import StackModel
 from repro.tech.calibration import (
     DEFAULT_TECH,
@@ -394,7 +394,7 @@ class PDNStack:
             solver = self.solver
             all_maps = [self.power_maps(state, logic_scale) for state in states]
             currents = np.stack(
-                [solver.currents_from_maps(maps) for maps in all_maps], axis=1
+                [currents_from_maps(self.model, maps) for maps in all_maps], axis=1
             )
             raws = protected_call(
                 lambda: solver.solve_many(currents),

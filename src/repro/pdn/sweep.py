@@ -12,7 +12,7 @@ meshes, offsets, and grids are identical, only link conductances moved.
 in plan order with an iterative backend, each point's solver is
 
 * **warm-started** from the previous point's preconditioner (a complete
-  factorization or AMG hierarchy of a spectrally-nearby matrix -- see
+  factorization or Jacobi scaling of a spectrally-nearby matrix -- see
   :mod:`repro.rmesh.backends`), replacing a fresh factorization with a
   handful of CG iterations, and
 * **seeded** with the previous solution of the same memory state as the

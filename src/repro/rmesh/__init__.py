@@ -15,13 +15,12 @@ from repro.rmesh.backends import (
     BACKENDS,
     DEFAULT_BACKEND,
     SOLVER_ENV,
-    amg_available,
     make_operator,
     resolve_backend,
 )
 from repro.rmesh.branches import BranchGroup, StackBranches, extract_branches
 from repro.rmesh.mesh import LayerMesh
-from repro.rmesh.stack import StackModel, VerticalLink, SupplyLink
+from repro.rmesh.stack import StackModel
 from repro.rmesh.solve import IRDropResult, StackSolver
 
 __all__ = [
@@ -30,14 +29,11 @@ __all__ = [
     "extract_branches",
     "LayerMesh",
     "StackModel",
-    "VerticalLink",
-    "SupplyLink",
     "IRDropResult",
     "StackSolver",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "SOLVER_ENV",
-    "amg_available",
     "make_operator",
     "resolve_backend",
 ]

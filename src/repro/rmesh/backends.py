@@ -1,4 +1,4 @@
-"""Pluggable solver backends for the stacked R-mesh DC solve.
+"""Pluggable solver backends for the stacked R-mesh solves.
 
 :class:`~repro.rmesh.solve.StackSolver` historically had exactly one
 strategy: one SuperLU factorization per stack, many back-substitutions.
@@ -8,7 +8,12 @@ reference-grid discretization in :mod:`repro.rmesh.reference` carries an
 order of magnitude more resistors and a direct factorization of it is
 the dominant cold-path cost.
 
-This module makes the strategy pluggable:
+This module makes the strategy pluggable, and it is the only place in
+the package that factorizes or iteratively solves a sparse system: the
+DC :class:`~repro.rmesh.solve.StackSolver` and the backward-Euler
+:class:`~repro.rmesh.transient.TransientSolver` both go through
+:func:`make_operator`, so both share the ordering cache, the escalation
+ladder and the ``REPRO_SOLVER`` choice.
 
 ``direct``
     The historical SuperLU path, **bitwise identical** to what
@@ -37,13 +42,6 @@ This module makes the strategy pluggable:
       CG's three-term recurrence (observed: stagnation at ~1e-2
       residuals).  A complete factorization of an SPD matrix, applied as
       ``x -> U^-1 L^-1 x``, is its exact SPD inverse up to rounding.
-
-``amg``
-    Algebraic multigrid via ``pyamg`` when importable -- the smoothed-
-    aggregation hierarchy is itself a reusable preconditioner for CG.
-    When ``pyamg`` is missing the backend **falls back to ``cg``** with
-    a one-time warning and a ``solver.amg_fallbacks`` counter bump, so
-    ``REPRO_SOLVER=amg`` is safe to set everywhere.
 
 Selection order: explicit argument > ``REPRO_SOLVER`` environment
 variable > ``direct``.  Iteration counts, preconditioner reuse, and
@@ -83,7 +81,7 @@ CG_MAXITER_ENV = "REPRO_CG_MAXITER"
 CG_PRECOND_ENV = "REPRO_CG_PRECOND"
 
 #: Known backend names, resolution-order independent.
-BACKENDS = ("direct", "cg", "amg")
+BACKENDS = ("direct", "cg")
 
 #: Known preconditioner kinds for the cg backend.
 PRECONDITIONERS = ("factor", "jacobi")
@@ -109,8 +107,6 @@ RECORD_EVERY = 64
 
 #: Process-global convergence-trace buffer cap.
 MAX_TRACES = 512
-
-_amg_warned = False
 
 
 # ---------------------------------------------------------------------------
@@ -597,51 +593,6 @@ class CGOperator(SolverOperator):
         return x
 
 
-class AMGOperator(SolverOperator):
-    """CG accelerated by a pyamg smoothed-aggregation hierarchy.
-
-    The hierarchy is the reusable setup artifact, wrapped so the
-    warm-start layer can pass it between sweep neighbors exactly like a
-    :class:`FactorPreconditioner`.
-    """
-
-    name = "amg"
-
-    class _Hierarchy(Preconditioner):
-        kind = "amg"
-
-        def __init__(self, matrix: sp.spmatrix) -> None:
-            import pyamg
-
-            super().__init__(matrix.shape)
-            self._ml = pyamg.smoothed_aggregation_solver(matrix.tocsr())
-
-        def operator(self) -> spla.LinearOperator:
-            return self._ml.aspreconditioner(cycle="V")
-
-    def __init__(
-        self,
-        matrix: sp.spmatrix,
-        preconditioner: Optional[Preconditioner] = None,
-        rtol: Optional[float] = None,
-        maxiter: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        self._matrix = matrix.tocsr()
-        self.rtol = rtol if rtol is not None else _cg_rtol()
-        self.maxiter = maxiter or _cg_maxiter(matrix.shape[0])
-        if preconditioner is not None and preconditioner.compatible_with(matrix):
-            self.preconditioner = preconditioner
-            self.reused_preconditioner = True
-            _metrics.inc("solver.preconditioner_reuses")
-        else:
-            self.preconditioner = AMGOperator._Hierarchy(matrix)
-            _metrics.inc("solver.preconditioner_builds")
-        self._M = self.preconditioner.operator()
-
-    solve = CGOperator.solve  # same CG acceleration, different M
-
-
 #: Environment switch for solver escalation ("0" disables).
 ESCALATION_ENV = "REPRO_SOLVER_ESCALATE"
 
@@ -654,7 +605,7 @@ def escalation_enabled() -> bool:
 class EscalatingOperator:
     """Degrade-but-complete wrapper around an iterative operator.
 
-    A CG/AMG solve that fails to converge (ill-conditioned stress mesh,
+    A CG solve that fails to converge (ill-conditioned stress mesh,
     drifted warm-start preconditioner, injected stall) historically
     surfaced as a hard :class:`~repro.errors.SolverError`.  This wrapper
     turns it into a degraded-but-correct answer by climbing a ladder:
@@ -804,15 +755,6 @@ class EscalatingOperator:
         return out
 
 
-def amg_available() -> bool:
-    """Whether the optional pyamg dependency is importable."""
-    try:
-        import pyamg  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def make_operator(
     backend: str,
     matrix: sp.spmatrix,
@@ -826,37 +768,14 @@ def make_operator(
     ``options`` pass through to the iterative constructors (``rtol``,
     ``maxiter``, ``precond_kind``).
     """
-    global _amg_warned
-    prev = warm_from.preconditioner if warm_from is not None else None
     if backend == "direct":
         return DirectOperator(matrix)
-    if backend == "amg" and not amg_available():
-        if not _amg_warned:
-            _log.warning(
-                "pyamg is not installed; amg backend falling back to cg"
-            )
-            _amg_warned = True
-        _metrics.inc("solver.amg_fallbacks")
-        backend = "cg"
-        # An AMG hierarchy from a previous operator cannot serve the cg
-        # fallback; compatible_with is shape-only, so drop it here.
-        if prev is not None and prev.kind == "amg":
-            prev = None  # pragma: no cover - needs pyamg to produce one
-    if backend == "cg":
-        if prev is not None and prev.kind not in PRECONDITIONERS:
-            prev = None  # pragma: no cover - cross-backend handoff
-        op: SolverOperator = CGOperator(matrix, preconditioner=prev, **options)
-    elif backend == "amg":
-        op = AMGOperator(  # pragma: no cover - exercised when pyamg exists
-            matrix,
-            preconditioner=prev,
-            rtol=options.get("rtol"),
-            maxiter=options.get("maxiter"),
-        )
-    else:
+    if backend != "cg":
         raise ConfigurationError(
             f"unknown solver backend {backend!r}; known: {list(BACKENDS)}"
         )
+    prev = warm_from.preconditioner if warm_from is not None else None
+    op = CGOperator(matrix, preconditioner=prev, **options)
     if escalation_enabled():
         # Library call sites get degrade-but-complete semantics; raw
         # operator construction keeps the historical raise.
@@ -868,5 +787,4 @@ def make_operator(
 OPERATOR_TYPES: Dict[str, type] = {
     "direct": DirectOperator,
     "cg": CGOperator,
-    "amg": AMGOperator,
 }

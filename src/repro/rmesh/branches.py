@@ -9,8 +9,10 @@ currents turns a black-box drop field into a physical circuit one can
 interrogate (current density per TSV group, dissipation per layer, the
 supply path feeding the worst node).
 
-This module extracts that branch-level view from a
-:class:`~repro.rmesh.stack.StackModel` plus a drop vector:
+This module is the one branch-current path of the package; both
+``repro3d explain`` and the TSV current-crowding study (section 3.2,
+whose reference [6] models DC current crowding of TSV-based 3D
+connections) read it:
 
 * :func:`extract_branches` -- every mesh edge, vertical link and supply
   link as vectorized ``(a, b, g, current)`` groups, in the model's
@@ -19,7 +21,11 @@ This module extracts that branch-level view from a
 * :meth:`StackBranches.node_net_current` -- the per-node KCL sum, which
   must reproduce the injected load vector (the conservation property
   the physics tests pin at 1e-9 relative);
-* per-layer dissipation / current-density aggregation helpers.
+* :meth:`StackBranches.interface` plus :class:`CrowdingReport` -- the
+  per-link current distribution over one die-to-die interface (or over
+  the supply links) and its crowding factor;
+* per-layer dissipation / lateral current-density fields for hotspot
+  inspection.
 
 Everything here *reads* the solution -- nothing mutates the model or the
 solver, so diagnostics can never perturb recorded physics.
@@ -28,12 +34,65 @@ solver, so diagnostics can never perturb recorded physics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.rmesh.stack import StackModel
+
+
+@dataclass
+class CrowdingReport:
+    """Distribution of current over a group of parallel vertical links.
+
+    "Crowding factor" is the classic metric: the worst link's current
+    over the uniform share (total / count).  1.0 means perfectly balanced
+    TSVs; the paper's misaligned and center-clustered configurations show
+    factors well above that.
+    """
+
+    currents: np.ndarray  # per-link magnitudes, A
+
+    def __post_init__(self) -> None:
+        if self.currents.size == 0:
+            raise SolverError("crowding report over an empty link group")
+
+    @property
+    def total_a(self) -> float:
+        return float(np.sum(self.currents))
+
+    @property
+    def max_a(self) -> float:
+        return float(np.max(self.currents))
+
+    @property
+    def mean_a(self) -> float:
+        return float(np.mean(self.currents))
+
+    @property
+    def crowding_factor(self) -> float:
+        """max / uniform-share; 1.0 = perfectly balanced."""
+        if self.total_a <= 0.0:
+            return 1.0
+        return self.max_a / (self.total_a / self.currents.size)
+
+    @property
+    def gini(self) -> float:
+        """Gini coefficient of the current distribution (0 = uniform)."""
+        if self.total_a <= 0.0:
+            return 0.0
+        sorted_c = np.sort(self.currents)
+        n = sorted_c.size
+        cum = np.cumsum(sorted_c)
+        return float((n + 1 - 2 * np.sum(cum) / cum[-1]) / n)
+
+    def __str__(self) -> str:  # pragma: no cover - repr convenience
+        return (
+            f"{self.currents.size} links, total {self.total_a * 1e3:.1f} mA, "
+            f"worst {self.max_a * 1e3:.2f} mA, crowding factor "
+            f"{self.crowding_factor:.2f}"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,6 +131,10 @@ class BranchGroup:
             object.__setattr__(self, "_dissipation", cached)
         return cached
 
+    def crowding(self) -> CrowdingReport:
+        """Current distribution over this group's branches (magnitudes)."""
+        return CrowdingReport(np.abs(self.current))
+
 
 class StackBranches:
     """All branch currents of one solved stack, grouped and queryable."""
@@ -103,6 +166,32 @@ class StackBranches:
     def groups(self) -> List[BranchGroup]:
         """Every group: per-layer meshes first, then links, then supply."""
         return [*self.mesh.values(), self.links, self.supply]
+
+    def interface(self, key_a: str, key_b: str) -> BranchGroup:
+        """The vertical links joining layers ``key_a`` and ``key_b``.
+
+        Either direction counts; links keep their insertion order and
+        signed currents.  For a TSV interface this is the per-TSV current
+        distribution of the paper's section 3.2 study.
+        """
+        sl_a = self.model.layer_slice(key_a)
+        sl_b = self.model.layer_slice(key_b)
+        a, b = self.links.a, self.links.b
+        a_in_a = (a >= sl_a.start) & (a < sl_a.stop)
+        a_in_b = (a >= sl_b.start) & (a < sl_b.stop)
+        b_in_a = (b >= sl_a.start) & (b < sl_a.stop)
+        b_in_b = (b >= sl_b.start) & (b < sl_b.stop)
+        mask = (a_in_a & b_in_b) | (a_in_b & b_in_a)
+        if not mask.any():
+            raise SolverError(f"no links between {key_a!r} and {key_b!r}")
+        return BranchGroup(
+            kind="link",
+            layer=None,
+            a=a[mask],
+            b=b[mask],
+            g=self.links.g[mask],
+            current=self.links.current[mask],
+        )
 
     # -- conservation ----------------------------------------------------------
 
@@ -151,6 +240,23 @@ class StackBranches:
             for key, group in self.mesh.items()
         }
 
+    def _mesh_group(self, key: str) -> BranchGroup:
+        group = self.mesh.get(key)
+        if group is None:
+            raise SolverError(f"unknown layer {key!r}")
+        return group
+
+    def _endpoint_field(self, key: str, values: np.ndarray) -> np.ndarray:
+        """Scatter one value per mesh edge of layer ``key`` onto both of
+        the edge's endpoint nodes; returns the layer field (ny, nx)."""
+        group = self._mesh_group(key)
+        sl = self.model.layer_slice(key)
+        grid = self.model.layer_grid(key)
+        field = np.zeros(self.model.num_nodes)
+        np.add.at(field, group.a, values)
+        np.add.at(field, group.b, values)
+        return field[sl].reshape(grid.ny, grid.nx)
+
     def layer_dissipation_map(self, key: str) -> np.ndarray:
         """Per-node dissipation field of one layer, shape (ny, nx), watts.
 
@@ -158,14 +264,28 @@ class StackBranches:
         the standard lumping that keeps the total exact while giving a
         plottable per-node heat field.
         """
-        group = self.mesh[key]
-        sl = self.model.layer_slice(key)
-        grid = self.model.layer_grid(key)
-        field = np.zeros(self.model.num_nodes)
-        half = 0.5 * group.dissipation()
-        np.add.at(field, group.a, half)
-        np.add.at(field, group.b, half)
-        return field[sl].reshape(grid.ny, grid.nx)
+        return self._endpoint_field(
+            key, 0.5 * self._mesh_group(key).dissipation()
+        )
+
+    def layer_current_density(self, key: str) -> np.ndarray:
+        """Lateral current magnitude per node of one layer, amperes.
+
+        The mean magnitude of the mesh-edge currents incident on each
+        node -- a hotspot field for current-density (EM-style)
+        screening.
+        """
+        group = self._mesh_group(key)
+        total = self._endpoint_field(key, np.abs(group.current))
+        counts = self._endpoint_field(key, np.ones(group.count))
+        counts[counts == 0] = 1
+        return total / counts
+
+    def worst_lateral_hotspot(self, key: str) -> Tuple[Tuple[int, int], float]:
+        """((i, j) grid index, current A) of the layer's worst lateral node."""
+        density = self.layer_current_density(key)
+        j, i = np.unravel_index(int(np.argmax(density)), density.shape)
+        return (int(i), int(j)), float(density[j, i])
 
     def total_dissipation(self) -> float:
         """Total dissipated power over every branch, watts."""

@@ -8,11 +8,14 @@ back-substitutions.
 
 *How* the system is solved is pluggable (:mod:`repro.rmesh.backends`):
 the default ``direct`` backend is the historical SuperLU factorization,
-bitwise identical to what this module always produced; ``cg`` and
-``amg`` are preconditioned iterative paths whose setup artifacts can be
-warm-started from a neighboring sweep point (:mod:`repro.pdn.sweep`).
-Select per solver (``StackSolver(model, backend="cg")``), per process
+bitwise identical to what this module always produced; ``cg`` is the
+preconditioned iterative path whose setup artifact can be warm-started
+from a neighboring sweep point (:mod:`repro.pdn.sweep`).  Select per
+solver (``StackSolver(model, backend="cg")``), per process
 (``REPRO_SOLVER=cg``), or per CLI invocation (``repro3d --solver cg``).
+The transient extension (:mod:`repro.rmesh.transient`) builds its
+operator through the same backend layer and loads its right-hand sides
+through the same :func:`currents_from_maps` scatter.
 
 Observability: setup and every solve run inside trace spans
 (``solver.factorize`` / ``solver.solve`` / ``solver.solve_many``, each
@@ -31,9 +34,10 @@ unaffected by the sampling rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro import envcfg
 from repro.errors import SolverError
@@ -190,6 +194,51 @@ class IRDropResult:
         raise SolverError(f"node {node} not inside any layer")  # pragma: no cover
 
 
+def currents_from_maps(
+    model: StackModel, maps: Mapping[str, PowerMap]
+) -> np.ndarray:
+    """Assemble one global current vector from per-layer power maps.
+
+    Each power map must be rasterized on the same grid as its target
+    layer; the map's currents are drawn from that layer's nodes.
+    """
+    currents = np.zeros(model.num_nodes)
+    for key, pmap in maps.items():
+        sl = model.layer_slice(key)
+        grid = model.layer_grid(key)
+        if pmap.grid.nx != grid.nx or pmap.grid.ny != grid.ny:
+            raise SolverError(
+                f"power map grid {pmap.grid.nx}x{pmap.grid.ny} does not "
+                f"match layer {key!r} grid {grid.nx}x{grid.ny}"
+            )
+        currents[sl] += pmap.flat()
+    return currents
+
+
+def prepare_operator(
+    backend: str,
+    matrix: sparse.spmatrix,
+    warm_from: Optional[SolverOperator] = None,
+    **span_attrs: object,
+) -> Tuple[SolverOperator, float]:
+    """Set up ``backend`` on ``matrix`` -- the one setup path of every
+    R-Mesh solver.
+
+    Runs :func:`~repro.rmesh.backends.make_operator` inside a
+    ``solver.factorize`` span (tagged with the node count, the backend
+    and ``span_attrs``), counts ``solver.factorizations`` and
+    ``solver.backend.<name>``, and returns the operator with the span's
+    duration.
+    """
+    with span(
+        "solver.factorize", nodes=matrix.shape[0], backend=backend, **span_attrs
+    ) as sp_:
+        op = make_operator(backend, matrix, warm_from=warm_from)
+    _metrics.inc("solver.factorizations")
+    _metrics.inc(f"solver.backend.{op.name}")
+    return op, sp_.duration
+
+
 class StackSolver:
     """Prepare a stack's system once, solve many load configurations.
 
@@ -208,21 +257,15 @@ class StackSolver:
         self.model = model
         self.backend = resolve_backend(backend)
         matrix = model.conductance_matrix().tocsc()
-        with span(
-            "solver.factorize", nodes=model.num_nodes, backend=self.backend
-        ) as sp:
-            self._op = make_operator(
-                self.backend,
-                matrix,
-                warm_from=warm_from._op if warm_from is not None else None,
-            )
-        self.factor_time = sp.duration
+        self._op, self.factor_time = prepare_operator(
+            self.backend,
+            matrix,
+            warm_from=warm_from._op if warm_from is not None else None,
+        )
         # Kept for residual-norm checks; the setup artifacts dominate memory.
         self._matrix = matrix
         self._num_nodes = model.num_nodes
         self._solve_count = 0
-        _metrics.inc("solver.factorizations")
-        _metrics.inc(f"solver.backend.{self._op.name}")
 
     # -- backend introspection ------------------------------------------------
 
@@ -387,26 +430,8 @@ class StackSolver:
             for i in range(block.shape[1])
         ]
 
-    def currents_from_maps(self, maps: Mapping[str, PowerMap]) -> np.ndarray:
-        """Assemble one global current vector from per-layer power maps.
-
-        Each power map must be rasterized on the same grid as its target
-        layer; the map's currents are drawn from that layer's nodes.
-        """
-        currents = np.zeros(self._num_nodes)
-        for key, pmap in maps.items():
-            sl = self.model.layer_slice(key)
-            grid = self.model.layer_grid(key)
-            if pmap.grid.nx != grid.nx or pmap.grid.ny != grid.ny:
-                raise SolverError(
-                    f"power map grid {pmap.grid.nx}x{pmap.grid.ny} does not "
-                    f"match layer {key!r} grid {grid.nx}x{grid.ny}"
-                )
-            currents[sl] += pmap.flat()
-        return currents
-
     def solve_power_maps(
         self, maps: Mapping[str, PowerMap], x0: Optional[np.ndarray] = None
     ) -> IRDropResult:
         """Solve with loads given as power maps keyed by layer key."""
-        return self.solve_currents(self.currents_from_maps(maps), x0=x0)
+        return self.solve_currents(currents_from_maps(self.model, maps), x0=x0)

@@ -25,23 +25,6 @@ from repro.geometry import Point
 from repro.rmesh.mesh import LayerMesh
 
 
-@dataclass(frozen=True)
-class VerticalLink:
-    """A lumped conductance between one node of two different layers."""
-
-    node_a: int  # global node id
-    node_b: int
-    conductance: float
-
-
-@dataclass(frozen=True)
-class SupplyLink:
-    """A lumped conductance from a node to the ideal package supply."""
-
-    node: int  # global node id
-    conductance: float
-
-
 #: A block of vertical links as parallel arrays ``(node_a, node_b, g)``.
 LinkBlock = Tuple[
     npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.float64]
@@ -383,22 +366,6 @@ class StackModel:
             _frozen(*block)
             self._supply_blocks.append(block)
             self._supply_count += len(block[0])
-
-    def vertical_links(self) -> Tuple[VerticalLink, ...]:
-        """All vertical links (TSVs, F2F vias, bond wires, via stitching),
-        materialized as link objects (read-only; prefer
-        :meth:`link_arrays` on hot paths)."""
-        a, b, g = self.link_arrays()
-        return tuple(
-            VerticalLink(na, nb, gg)
-            for na, nb, gg in zip(a.tolist(), b.tolist(), g.tolist())
-        )
-
-    def supply_links(self) -> Tuple[SupplyLink, ...]:
-        """All links to the ideal package supply, materialized like
-        :meth:`vertical_links`."""
-        node, g = self.supply_arrays()
-        return tuple(SupplyLink(n, gg) for n, gg in zip(node.tolist(), g.tolist()))
 
     def link_arrays(self) -> LinkBlock:
         """Vectorized ``(node_a, node_b, conductance)`` over all vertical

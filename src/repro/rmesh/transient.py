@@ -11,8 +11,12 @@ be exercised:
   device layer, plus a bulk package capacitor behind the supply plane;
 * the network becomes G v + C dv/dt = i(t), integrated with backward
   Euler: ``(G + C/dt) v_{k+1} = i_{k+1} + (C/dt) v_k``.  The augmented
-  matrix is factorized once; each time step is a back-substitution, the
-  same trick the DC LUT uses;
+  matrix is prepared once through the DC solver's setup path
+  (:func:`repro.rmesh.solve.prepare_operator`); each time step is a
+  back-substitution, the same trick the DC LUT uses.  ``G + C/dt`` has
+  ``G``'s sparsity pattern, so under ``direct`` it reuses the DC
+  factorization's column ordering, and ``REPRO_SOLVER=cg`` reaches it
+  with the same escalation ladder as a DC solve;
 * stimuli are piecewise-constant memory-state schedules (e.g. a bank
   activation burst), built from :class:`repro.power.MemoryState` or from
   a memory-controller activity trace.
@@ -23,17 +27,19 @@ RC settling and decap droop suppression, not mid-frequency ringing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.errors import ConfigurationError, SolverError
+from repro.obs import metrics as _metrics
+from repro.obs.trace import span
 from repro.pdn.stackup import PDNStack
 from repro.power.state import MemoryState
+from repro.rmesh.backends import resolve_backend
+from repro.rmesh.solve import currents_from_maps, prepare_operator
 from repro.units import to_mv
 
 
@@ -88,8 +94,18 @@ class TransientResult:
         return float(self.times_ns[last_outside + 1])
 
 
+PACKAGE_PLANE = "package/plane"
+
+
 class TransientSolver:
-    """Backward-Euler RC simulation on a built stack."""
+    """Backward-Euler RC simulation on a built stack.
+
+    The backend is the process default (``REPRO_SOLVER``, else
+    ``direct``).  Setup runs in a ``solver.factorize`` span and the whole
+    time-stepping loop in one ``solver.solve_many`` span whose ``count``
+    is the number of steps; ``factor_time`` and
+    :attr:`TransientResult.solve_time_s` are those spans' durations.
+    """
 
     def __init__(
         self,
@@ -113,22 +129,19 @@ class TransientSolver:
             grid = stack.model.layer_grid(key)
             cell_nf = decap.die_nf_per_mm2 * grid.dx * grid.dy
             cap[sl] += cell_nf * 1e-9
-        # Bulk package capacitor at the plane node.
-        try:
-            plane = stack.model.layer_slice("package/plane")
-            cap[plane.start] += decap.package_uf * 1e-6
-        except Exception:  # pragma: no cover - single-die stacks lack it
-            pass
+        # Bulk package capacitor at the plane node, when the stack has one.
+        if PACKAGE_PLANE in stack.model.layer_keys:
+            cap[stack.model.layer_slice(PACKAGE_PLANE).start] += (
+                decap.package_uf * 1e-6
+            )
         self.cap = cap
 
         g = stack.model.conductance_matrix().tocsc()
         c_over_dt = sp.diags(cap / dt_s).tocsc()
-        t0 = time.perf_counter()
-        try:
-            self._lu = spla.splu((g + c_over_dt).tocsc())
-        except RuntimeError as exc:  # pragma: no cover
-            raise SolverError(f"transient factorization failed: {exc}") from exc
-        self.factor_time = time.perf_counter() - t0
+        self.backend = resolve_backend(None)
+        self._op, self.factor_time = prepare_operator(
+            self.backend, (g + c_over_dt).tocsc(), transient=True
+        )
         self._c_over_dt = cap / dt_s
 
     # -- stimulus construction --------------------------------------------------
@@ -150,10 +163,9 @@ class TransientSolver:
                 raise ConfigurationError("schedule durations must be positive")
             key = state.label() + repr(state.active)
             if key not in currents_by_state:
-                vec = np.zeros(self.stack.model.num_nodes)
-                for lk, pmap in self.stack.power_maps(state).items():
-                    vec[self.stack.model.layer_slice(lk)] += pmap.flat()
-                currents_by_state[key] = vec
+                currents_by_state[key] = currents_from_maps(
+                    self.stack.model, self.stack.power_maps(state)
+                )
             n_steps = max(1, int(round(duration_ns / self.dt_ns)))
             for _ in range(n_steps):
                 t += self.dt_ns
@@ -186,21 +198,27 @@ class TransientSolver:
         dram_max = np.empty(len(steps))
         per_die = {name: np.empty(len(steps)) for name in die_ids}
 
-        t0 = time.perf_counter()
-        for k, i_vec in enumerate(steps):
-            rhs = i_vec + self._c_over_dt * v
-            v = self._lu.solve(rhs)
-            for name, ids in die_ids.items():
-                per_die[name][k] = to_mv(float(v[ids].max()))
-            dram_max[k] = max(per_die[name][k] for name in die_ids)
-        elapsed = time.perf_counter() - t0
+        with span(
+            "solver.solve_many",
+            count=len(steps),
+            batch=len(steps),
+            backend=self.backend,
+            transient=True,
+        ) as sp_:
+            for k, i_vec in enumerate(steps):
+                rhs = i_vec + self._c_over_dt * v
+                v = self._op.solve(rhs, x0=v)
+                for name, ids in die_ids.items():
+                    per_die[name][k] = to_mv(float(v[ids].max()))
+                dram_max[k] = max(per_die[name][k] for name in die_ids)
+        _metrics.inc("solver.rhs_solved", len(steps))
 
         return TransientResult(
             times_ns=times,
             dram_max_mv=dram_max,
             per_die_mv=per_die,
             dt_ns=self.dt_ns,
-            solve_time_s=elapsed,
+            solve_time_s=sp_.duration,
         )
 
     def step_response(

@@ -202,8 +202,17 @@ class TestSimCommand:
 
 class TestUserErrors:
     def test_bogus_solver_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SOLVER", "bogus")
-        assert main(["solve", "ddr3_off", "0-0-0-2"]) == 2
-        out = capsys.readouterr().out
-        assert "ConfigurationError: unknown solver backend 'bogus'" in out
-        assert "REPRO_SOLVER" in out
+        # "amg" was a backend once; it now fails like any unknown name.
+        for name in ("bogus", "amg"):
+            monkeypatch.setenv("REPRO_SOLVER", name)
+            assert main(["solve", "ddr3_off", "0-0-0-2"]) == 2
+            out = capsys.readouterr().out
+            assert f"ConfigurationError: unknown solver backend '{name}'" in out
+            assert "known: ['direct', 'cg']" in out
+            assert "REPRO_SOLVER" in out
+
+    def test_solver_flag_rejects_amg(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "ddr3_off", "0-0-0-2", "--solver", "amg"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'amg'" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from repro.pdn.diagnose import (
     validate_explain_dict,
 )
 from repro.rmesh import extract_branches
+from repro.rmesh.solve import currents_from_maps
 
 ALL_KEYS = ["ddr3_off", "ddr3_on", "wideio", "hmc"]
 
@@ -96,7 +97,7 @@ class TestPhysicsUnperturbed:
         equal to the first (diagnostics only read the solution)."""
         state = ddr3_off_bench.reference_state()
         solver = ddr3_stack.solver
-        currents = solver.currents_from_maps(ddr3_stack.power_maps(state))
+        currents = currents_from_maps(ddr3_stack.model, ddr3_stack.power_maps(state))
         before = solver.solve_currents(currents)
         drops_copy = np.array(before.drops, copy=True)
         diag = diagnose_result(

@@ -22,7 +22,7 @@ from repro.regress.model import (
     continuous_sample_grid,
     valid_discrete_combos,
 )
-from repro.rmesh import StackSolver, SupplyLink, VerticalLink
+from repro.rmesh import StackSolver, extract_branches
 from repro.rmesh import backends
 
 TSV_COUNTS = (15, 60, 240)
@@ -83,18 +83,18 @@ class TestArrayLinks:
         assert np.array_equal(a, model.link_arrays()[0])
 
     def test_materialized_views_match_arrays(self, tsv_sweep_plans):
+        """The branch groups read the model's link blocks as they are."""
         model = assemble(tsv_sweep_plans[1]).model
-        links = model.vertical_links()
-        supply = model.supply_links()
-        assert isinstance(links, tuple) and isinstance(links[0], VerticalLink)
-        assert isinstance(supply[0], SupplyLink)
+        branches = extract_branches(model, np.zeros(model.num_nodes))
         a, b, g = model.link_arrays()
-        assert [lk.node_a for lk in links] == a.tolist()
-        assert [lk.node_b for lk in links] == b.tolist()
-        assert [lk.conductance for lk in links] == g.tolist()
+        assert len(a) == model.link_count > 0
+        assert np.array_equal(branches.links.a, a)
+        assert np.array_equal(branches.links.b, b)
+        assert np.array_equal(branches.links.g, g)
         node, gs = model.supply_arrays()
-        assert [lk.node for lk in supply] == node.tolist()
-        assert [lk.conductance for lk in supply] == gs.tolist()
+        assert len(node) == model.supply_count > 0
+        assert np.array_equal(branches.supply.a, node)
+        assert np.array_equal(branches.supply.g, gs)
 
     def test_session_assembled_stack_has_no_orphan_branches(
         self, ddr3_off_bench, tsv_sweep_plans

@@ -90,9 +90,9 @@ class TestStackModelUniformCoupling:
         k1 = model.add_layer("p", plane)
         k2 = model.add_layer("l", line)
         model.connect_layers_uniform(k1, k2, conductance_per_mm2=1.0)
-        assert len(model.vertical_links()) == 1
-        link = model.vertical_links()[0]
-        assert link.conductance == pytest.approx(4.0)  # 4 mm^2 * 1 S/mm^2
+        a, b, g = model.link_arrays()
+        assert len(a) == 1
+        assert g[0] == pytest.approx(4.0)  # 4 mm^2 * 1 S/mm^2
 
 
 class TestResultHelpers:

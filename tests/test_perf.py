@@ -27,6 +27,7 @@ from repro.perf.parallel import (
 from repro.perf.timers import add_time, report, reset_timers, snapshot, timed
 from repro.power.state import MemoryState
 from repro.regress.model import sample_design_space, valid_discrete_combos
+from repro.rmesh.solve import currents_from_maps
 
 
 # -- batched multi-RHS solves -------------------------------------------------
@@ -39,7 +40,8 @@ def test_solve_many_bitwise_matches_solve_currents(ddr3_stack, ddr3_off_bench):
         for counts in [(0, 0, 0, 2), (2, 0, 0, 0), (1, 1, 1, 1)]
     ]
     columns = [
-        solver.currents_from_maps(ddr3_stack.power_maps(s)) for s in states
+        currents_from_maps(ddr3_stack.model, ddr3_stack.power_maps(s))
+        for s in states
     ]
     batched = solver.solve_many(np.stack(columns, axis=1))
     assert len(batched) == len(states)

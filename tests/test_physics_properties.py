@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.power import MemoryState
 from repro.power.powermap import PowerMap
+from repro.rmesh.solve import currents_from_maps
 
 counts_strategy = st.lists(
     st.integers(min_value=0, max_value=2), min_size=4, max_size=4
@@ -91,8 +92,8 @@ class TestStackPhysicsProperties:
 
         bench, stack = paper_stacks[key]
         solver = stack.solver_for(backend)
-        currents = solver.currents_from_maps(
-            stack.power_maps(bench.reference_state())
+        currents = currents_from_maps(
+            stack.model, stack.power_maps(bench.reference_state())
         )
         raw = solver.solve_currents(currents)
         branches = extract_branches(raw.model, np.asarray(raw.drops))

@@ -27,7 +27,6 @@ from repro.rmesh.backends import (
     EscalatingOperator,
     FactorPreconditioner,
     JacobiPreconditioner,
-    amg_available,
     make_operator,
     make_preconditioner,
     resolve_backend,
@@ -132,17 +131,6 @@ def test_make_operator_rejects_unknown():
         make_operator("gauss-seidel", _spd_matrix())
 
 
-def test_amg_falls_back_to_cg_without_pyamg():
-    if amg_available():  # pragma: no cover - container has no pyamg
-        pytest.skip("pyamg installed; fallback path not reachable")
-    before = obs_metrics.snapshot()
-    op = make_operator("amg", _spd_matrix())
-    assert isinstance(op, EscalatingOperator)
-    assert isinstance(op.inner, CGOperator)
-    delta = obs_metrics.diff(before, obs_metrics.snapshot())
-    assert delta["counters"].get("solver.amg_fallbacks") == 1
-
-
 def test_warm_from_reuses_compatible_preconditioner():
     matrix = _spd_matrix()
     cold = make_operator("cg", matrix)
@@ -186,13 +174,11 @@ def test_backends_agree_on_max_ir():
     direct = StackSolver(WORKLOAD.model, backend="direct")
     reference = direct.solve_currents(WORKLOAD.currents)
     for backend in BACKENDS:
-        if backend == "amg" and not amg_available():
-            continue  # the fallback path is covered above
         solver = StackSolver(WORKLOAD.model, backend=backend)
         result = solver.solve_currents(WORKLOAD.currents)
         rel = abs(result.max_drop() - reference.max_drop()) / reference.max_drop()
         assert rel <= 1e-6, f"{backend}: rel err {rel:.2e}"
-        assert result.backend in (backend, "cg")  # amg may fall back
+        assert result.backend == backend
 
 
 def test_iterative_result_carries_provenance():
